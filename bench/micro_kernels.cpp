@@ -376,7 +376,7 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
     SessionConfig ambient_cfg;
     ambient_cfg.precision = global_precision();
     ambient_cfg.max_batch = 64;
-    const InferenceSession apd_session(mlp, ambient_cfg);
+    const InferenceSession apd_session(mlp, apd.surrogates(), ambient_cfg);
     record("apd_propagate_b64", [&] {
       apd_session.propagate(input, out);
       benchmark::DoNotOptimize(out.mean.data());
@@ -384,7 +384,7 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
     SessionConfig f32_cfg;
     f32_cfg.precision = Precision::kF32;
     f32_cfg.max_batch = 64;
-    const InferenceSession f32_session(mlp, f32_cfg);
+    const InferenceSession f32_session(mlp, apd.surrogates(), f32_cfg);
     record("apd_propagate_b64_f32", [&] {
       f32_session.propagate(input, out);
       benchmark::DoNotOptimize(out.mean.data());
@@ -435,7 +435,7 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
     SessionConfig i8_cfg;
     i8_cfg.precision = Precision::kI8;
     i8_cfg.max_batch = 64;
-    const InferenceSession i8_session(mlp, i8_cfg);
+    const InferenceSession i8_session(mlp, apd.surrogates(), i8_cfg);
     record("apd_propagate_b64_i8", [&] {
       i8_session.propagate(input, out);
       benchmark::DoNotOptimize(out.mean.data());
@@ -449,7 +449,7 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
     SessionConfig b1_cfg;
     b1_cfg.precision = Precision::kF32;
     b1_cfg.max_batch = 1;
-    const InferenceSession b1_session(mlp, b1_cfg);
+    const InferenceSession b1_session(mlp, apd.surrogates(), b1_cfg);
     MeanVar out1;
     record("apd_legacy_b1_f32", [&] {
       MeanVar o = apd.propagate(input1, Precision::kF32);

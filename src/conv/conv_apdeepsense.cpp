@@ -4,13 +4,38 @@
 
 namespace apds {
 
-ConvApDeepSense::ConvApDeepSense(const ConvNet& net, ApDeepSenseConfig config)
-    : net_(&net), config_(config), head_(net.head(), config) {
-  conv_surrogates_.reserve(net.num_conv_layers());
+namespace {
+
+/// Surrogates for the conv stack followed by the dense head, resolved in
+/// one call so an activation both use is fitted once.
+std::vector<PiecewiseLinear> net_surrogates(const ConvNet& net,
+                                            std::size_t pieces) {
+  APDS_CHECK(pieces >= 3);
+  std::vector<Activation> acts;
   for (std::size_t l = 0; l < net.num_conv_layers(); ++l)
-    conv_surrogates_.push_back(PiecewiseLinear::for_activation(
-        net.conv(l).act, config_.saturating_pieces));
+    acts.push_back(net.conv(l).act);
+  for (const Activation act : net.head().activations()) acts.push_back(act);
+  return PiecewiseLinear::for_activations(acts, pieces);
 }
+
+}  // namespace
+
+ConvApDeepSense::ConvApDeepSense(const ConvNet& net, ApDeepSenseConfig config)
+    : ConvApDeepSense(net, config,
+                      net_surrogates(net, config.saturating_pieces)) {}
+
+ConvApDeepSense::ConvApDeepSense(const ConvNet& net, ApDeepSenseConfig config,
+                                 std::vector<PiecewiseLinear> surrogates)
+    : net_(&net),
+      config_(config),
+      conv_surrogates_(surrogates.begin(),
+                       surrogates.begin() + static_cast<std::ptrdiff_t>(
+                                                net.num_conv_layers())),
+      head_(net.head(),
+            std::vector<PiecewiseLinear>(
+                surrogates.begin() +
+                    static_cast<std::ptrdiff_t>(net.num_conv_layers()),
+                surrogates.end())) {}
 
 MeanVar ConvApDeepSense::propagate(const Matrix& x) const {
   return propagate(MeanVar::point(x));

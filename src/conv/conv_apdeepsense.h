@@ -21,6 +21,10 @@ class ConvApDeepSense {
   MeanVar propagate(const MeanVar& input) const;
 
  private:
+  /// `surrogates` holds the conv layers' surrogates, then the head's.
+  ConvApDeepSense(const ConvNet& net, ApDeepSenseConfig config,
+                  std::vector<PiecewiseLinear> surrogates);
+
   const ConvNet* net_;  ///< non-owning; must outlive this object
   ApDeepSenseConfig config_;
   std::vector<PiecewiseLinear> conv_surrogates_;

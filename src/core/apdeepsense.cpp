@@ -23,10 +23,8 @@ std::string layer_span_args(std::size_t l, const DenseLayer& layer) {
 ApDeepSense::ApDeepSense(const Mlp& mlp, ApDeepSenseConfig config)
     : mlp_(&mlp), config_(config) {
   APDS_CHECK(config_.saturating_pieces >= 3);
-  surrogates_.reserve(mlp.num_layers());
-  for (std::size_t l = 0; l < mlp.num_layers(); ++l)
-    surrogates_.push_back(PiecewiseLinear::for_activation(
-        mlp.layer(l).act, config_.saturating_pieces));
+  surrogates_ = PiecewiseLinear::for_activations(mlp.activations(),
+                                                 config_.saturating_pieces);
 }
 
 ApDeepSense::ApDeepSense(const Mlp& mlp,

@@ -28,9 +28,11 @@ struct ApDeepSenseConfig {
 
 /// Analytic uncertainty propagator bound to one network.
 ///
-/// The surrogate PWL functions are resolved once per distinct activation at
-/// construction, so propagate() is allocation-light and branch-free over
-/// layer structure.
+/// Construction resolves one PWL surrogate per layer, fitting each distinct
+/// activation once (PiecewiseLinear::for_activations): a net with four tanh
+/// layers pays for one tanh fit. Sessions built for the same net from
+/// surrogates() (as ApdEstimator::session does) reuse these fits instead of
+/// refitting, and so cannot drift from this propagator.
 class ApDeepSense {
  public:
   explicit ApDeepSense(const Mlp& mlp, ApDeepSenseConfig config = {});
@@ -75,6 +77,11 @@ class ApDeepSense {
 
   /// The PWL surrogate used for layer l's activation.
   const PiecewiseLinear& surrogate(std::size_t l) const;
+
+  /// Every layer's surrogate, in layer order (one per weight layer).
+  const std::vector<PiecewiseLinear>& surrogates() const {
+    return surrogates_;
+  }
 
  private:
   /// f32 fast-path pack: single-precision copies of W, W∘W and b per

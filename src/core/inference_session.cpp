@@ -25,10 +25,8 @@ std::size_t matrix_bytes(std::size_t elems, std::size_t elem_size) {
 InferenceSession::InferenceSession(const Mlp& mlp, SessionConfig config)
     : config_(config), id_(new_arena_owner_id()) {
   APDS_CHECK(config_.saturating_pieces >= 3);
-  surrogates_.reserve(mlp.num_layers());
-  for (std::size_t l = 0; l < mlp.num_layers(); ++l)
-    surrogates_.push_back(PiecewiseLinear::for_activation(
-        mlp.layer(l).act, config_.saturating_pieces));
+  surrogates_ = PiecewiseLinear::for_activations(mlp.activations(),
+                                                 config_.saturating_pieces);
   build(mlp);
 }
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
 
 #include "common/error.h"
 #include "stats/special.h"
@@ -52,18 +53,37 @@ struct FitWeight {
   }
 };
 
-// Weighted least-squares line fit of f on [a, b] over a uniform grid.
-// Unlike the interpolating secant, the LS line has (weighted) zero-mean
-// error on the piece — essential because a one-sided bias (chords of a
-// concave function always undershoot) compounds across layers.
-void ls_line(const std::function<double(double)>& f, const FitWeight& weight,
-             double a, double b, double& k, double& c) {
-  constexpr int kGrid = 64;
+constexpr int kGrid = 64;
+
+// f and the fit weight sampled on a uniform kGrid+1 point grid of [a, b].
+// The least-squares sums and the error scan both read these arrays, so f
+// and the weight are evaluated once per grid point: the relaxation sweeps
+// score thousands of pieces, and these evaluations are the fit's cost.
+struct PieceGrid {
+  double x[kGrid + 1];
+  double w[kGrid + 1];
+  double y[kGrid + 1];
+
+  PieceGrid(const std::function<double(double)>& f, const FitWeight& weight,
+            double a, double b) {
+    for (int i = 0; i <= kGrid; ++i) {
+      x[i] = a + (b - a) * static_cast<double>(i) / kGrid;
+      w[i] = weight(x[i]);
+      y[i] = f(x[i]);
+    }
+  }
+};
+
+// Weighted least-squares line fit of f over a piece's grid. Unlike the
+// interpolating secant, the LS line has (weighted) zero-mean error on the
+// piece — essential because a one-sided bias (chords of a concave function
+// always undershoot) compounds across layers.
+void ls_line(const PieceGrid& g, double& k, double& c) {
   double sw = 0.0, sx = 0.0, sy = 0.0, sxx = 0.0, sxy = 0.0;
   for (int i = 0; i <= kGrid; ++i) {
-    const double x = a + (b - a) * static_cast<double>(i) / kGrid;
-    const double w = weight(x);
-    const double y = f(x);
+    const double x = g.x[i];
+    const double w = g.w[i];
+    const double y = g.y[i];
     sw += w;
     sx += w * x;
     sy += w * y;
@@ -75,22 +95,21 @@ void ls_line(const std::function<double(double)>& f, const FitWeight& weight,
   c = (sy - k * sx) / sw;
 }
 
-// Max weighted |f - LS-line| over a grid, and where it occurs.
+// Max weighted |f - LS-line| over the grid of [a, b], and where it occurs.
 void piece_error(const std::function<double(double)>& f,
                  const FitWeight& weight, double a, double b, double& max_err,
                  double& argmax) {
+  const PieceGrid g(f, weight, a, b);
   double k = 0.0;
   double c = 0.0;
-  ls_line(f, weight, a, b, k, c);
+  ls_line(g, k, c);
   max_err = 0.0;
   argmax = 0.5 * (a + b);
-  constexpr int kGrid = 64;
   for (int i = 0; i <= kGrid; ++i) {
-    const double x = a + (b - a) * static_cast<double>(i) / kGrid;
-    const double err = weight(x) * std::fabs(f(x) - (k * x + c));
+    const double err = g.w[i] * std::fabs(g.y[i] - (k * g.x[i] + c));
     if (err > max_err) {
       max_err = err;
-      argmax = x;
+      argmax = g.x[i];
     }
   }
 }
@@ -174,7 +193,7 @@ PiecewiseLinear PiecewiseLinear::fit_saturating_weighted(
   for (std::size_t i = 0; i + 1 < bps.size(); ++i) {
     double k = 0.0;
     double c = 0.0;
-    ls_line(f, weight, bps[i], bps[i + 1], k, c);
+    ls_line(PieceGrid(f, weight, bps[i], bps[i + 1]), k, c);
     ps.push_back({bps[i], bps[i + 1], k, c});
   }
   ps.push_back({range, kInf, 0.0, right_tail});
@@ -198,6 +217,19 @@ PiecewiseLinear PiecewiseLinear::for_activation(Activation act,
     case Activation::kSigmoid: return fit_sigmoid(tanh_pieces);
   }
   throw InvalidArgument("for_activation: unknown activation");
+}
+
+std::vector<PiecewiseLinear> PiecewiseLinear::for_activations(
+    std::span<const Activation> acts, std::size_t tanh_pieces) {
+  // Index of the first entry with each activation; later entries copy it.
+  std::map<Activation, std::size_t> first;
+  std::vector<PiecewiseLinear> out;
+  out.reserve(acts.size());
+  for (const Activation act : acts) {
+    const auto [it, fresh] = first.emplace(act, out.size());
+    out.push_back(fresh ? for_activation(act, tanh_pieces) : out[it->second]);
+  }
+  return out;
 }
 
 double PiecewiseLinear::eval(double x) const {

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "nn/activation.h"
@@ -70,6 +71,13 @@ class PiecewiseLinear {
   /// `tanh_pieces`-piece fits for tanh/sigmoid.
   static PiecewiseLinear for_activation(Activation act,
                                         std::size_t tanh_pieces = 7);
+
+  /// One surrogate per entry of `acts`, each equal piece for piece to
+  /// for_activation(acts[i], tanh_pieces). Each distinct activation is
+  /// resolved once per call, so a network whose layers share an activation
+  /// pays for one fit, not one per layer. Nothing is kept between calls.
+  static std::vector<PiecewiseLinear> for_activations(
+      std::span<const Activation> acts, std::size_t tanh_pieces = 7);
 
   std::size_t num_pieces() const { return pieces_.size(); }
   const LinearPiece& piece(std::size_t i) const { return pieces_[i]; }

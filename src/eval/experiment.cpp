@@ -178,8 +178,9 @@ std::vector<SystemRow> run_system_perf(ModelZoo& zoo, TaskId task,
             SessionConfig cfg;
             cfg.precision = precision;
             cfg.max_batch = 1;
-            cfg.saturating_pieces = opt.saturating_pieces;
-            return std::make_shared<InferenceSession>(mlp, cfg);
+            // Reuse the estimator's fits rather than fitting again.
+            return std::make_shared<InferenceSession>(
+                mlp, apd.propagator().surrogates(), cfg);
           });
       const MeanVar serve_in = MeanVar::point(one_input);
       MeanVar serve_out;  // reused: a warmed-up request allocates nothing

@@ -83,6 +83,13 @@ std::size_t Mlp::num_params() const {
   return n;
 }
 
+std::vector<Activation> Mlp::activations() const {
+  std::vector<Activation> acts;
+  acts.reserve(layers_.size());
+  for (const auto& layer : layers_) acts.push_back(layer.act);
+  return acts;
+}
+
 Matrix Mlp::forward_deterministic(const Matrix& x) const {
   APDS_CHECK_MSG(x.cols() == input_dim(), "forward: input dim");
   Matrix h = x;

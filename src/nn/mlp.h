@@ -77,6 +77,9 @@ class Mlp {
   /// Total number of scalar parameters.
   std::size_t num_params() const;
 
+  /// Each layer's activation, in layer order.
+  std::vector<Activation> activations() const;
+
   /// Deterministic inference: expectation of the dropout mask folded into
   /// the weights (x scaled by keep_prob at each layer).
   Matrix forward_deterministic(const Matrix& x) const;

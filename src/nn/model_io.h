@@ -13,7 +13,9 @@ namespace apds {
 /// Write the model to `path`. Throws IoError on failure.
 void save_model(const Mlp& mlp, const std::string& path);
 
-/// Load a model written by save_model. Throws IoError on failure.
+/// Load a model written by save_model. Throws IoError on failure, and on a
+/// file whose values no network can hold: a keep_prob outside (0, 1] or a
+/// non-finite weight or bias (the message names the layer).
 Mlp load_model(const std::string& path);
 
 /// True if `path` exists and starts with the model magic.

@@ -18,9 +18,8 @@ std::shared_ptr<InferenceSession> ApdEstimator::session(
   if (!sessions_[idx]) {
     SessionConfig cfg;
     cfg.precision = precision;
-    cfg.saturating_pieces = propagator_.config().saturating_pieces;
-    sessions_[idx] =
-        std::make_shared<InferenceSession>(propagator_.network(), cfg);
+    sessions_[idx] = std::make_shared<InferenceSession>(
+        propagator_.network(), propagator_.surrogates(), cfg);
   }
   return sessions_[idx];
 }

@@ -32,8 +32,9 @@ class ApdEstimator final : public UncertaintyEstimator {
   const ApDeepSense& propagator() const { return propagator_; }
 
   /// The session backing predict_* at `precision` (built on first use from
-  /// the bound network; sessions are shared_ptr so callers may also park
-  /// them in a SessionRegistry).
+  /// the bound network and the propagator's surrogates, so it fits nothing
+  /// and matches propagator() layer for layer; sessions are shared_ptr so
+  /// callers may also park them in a SessionRegistry).
   std::shared_ptr<InferenceSession> session(Precision precision) const;
 
  private:

@@ -150,6 +150,32 @@ TEST(ApDeepSense, SurrogateAccessor) {
   EXPECT_THROW(apd.surrogate(2), InvalidArgument);
 }
 
+TEST(ApDeepSense, MixedActivationSurrogatesMatchPerLayerFits) {
+  // Construction fits each distinct activation once and shares it; every
+  // layer must still get exactly the surrogate a per-layer fit would give.
+  Rng rng(12);
+  Mlp mlp = random_mlp({3, 5, 5, 5, 5, 2}, Activation::kTanh, 0.9, rng);
+  const Activation acts[] = {Activation::kTanh, Activation::kSigmoid,
+                             Activation::kRelu, Activation::kTanh,
+                             Activation::kIdentity};
+  for (std::size_t l = 0; l < mlp.num_layers(); ++l)
+    mlp.mutable_layer(l).act = acts[l];
+  const ApDeepSense apd(mlp, ApDeepSenseConfig{9});
+  ASSERT_EQ(apd.surrogates().size(), mlp.num_layers());
+  for (std::size_t l = 0; l < mlp.num_layers(); ++l) {
+    SCOPED_TRACE(l);
+    const PiecewiseLinear want = PiecewiseLinear::for_activation(acts[l], 9);
+    const PiecewiseLinear& got = apd.surrogate(l);
+    ASSERT_EQ(got.num_pieces(), want.num_pieces());
+    for (std::size_t i = 0; i < want.num_pieces(); ++i) {
+      EXPECT_EQ(got.piece(i).lo, want.piece(i).lo) << "piece " << i;
+      EXPECT_EQ(got.piece(i).hi, want.piece(i).hi) << "piece " << i;
+      EXPECT_EQ(got.piece(i).k, want.piece(i).k) << "piece " << i;
+      EXPECT_EQ(got.piece(i).c, want.piece(i).c) << "piece " << i;
+    }
+  }
+}
+
 TEST(ApDeepSense, VarianceGrowsWithDropout) {
   // More aggressive dropout -> more output variance, all else equal.
   Rng rng(9);

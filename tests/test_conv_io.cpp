@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <fstream>
 
+#include "temp_dir.h"
 #include "tensor/ops.h"
 
 namespace apds {
@@ -12,13 +12,8 @@ namespace {
 
 class ConvIoTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "apds_conv_io_test";
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::string path(const std::string& n) const { return (dir_ / n).string(); }
-  std::filesystem::path dir_;
+  std::string path(const std::string& n) const { return dir_.file(n); }
+  const TempDir dir_{"apds_conv_io_test"};
 };
 
 ConvNet make_net(Rng& rng) {

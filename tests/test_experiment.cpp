@@ -2,11 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cmath>
-#include <filesystem>
 #include <sstream>
+
+#include "temp_dir.h"
 
 namespace apds {
 namespace {
@@ -33,17 +32,9 @@ ExperimentOptions fast_options() {
 class ExperimentTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Unique per process: with gtest_discover_tests each TEST_F runs as its
-    // own ctest entry, and parallel ctest must not share (and clobber) one
-    // model-cache directory across concurrently running tests.
-    dir_ = (std::filesystem::temp_directory_path() /
-            ("apds_exp_test_" + std::to_string(::getpid())))
-               .string();
-    std::filesystem::remove_all(dir_);
-    zoo_ = std::make_unique<ModelZoo>(tiny_config(dir_));
+    zoo_ = std::make_unique<ModelZoo>(tiny_config(dir_.str()));
   }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::string dir_;
+  const TempDir dir_{"apds_exp_test"};
   std::unique_ptr<ModelZoo> zoo_;
 };
 

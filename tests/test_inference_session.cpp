@@ -18,6 +18,7 @@
 #include "obs/metrics.h"
 #include "platform/thread_pool.h"
 #include "tensor/kernels/kernel_dispatch.h"
+#include "uncertainty/apd_estimator.h"
 
 namespace apds {
 namespace {
@@ -94,6 +95,38 @@ TEST(InferenceSession, BitIdenticalToLegacyPropagateAcrossPrecisions) {
       for (std::size_t j = 0; j < out.dim(); ++j) {
         EXPECT_EQ(out.mean(i, j), legacy.mean(i, j)) << i << "," << j;
         EXPECT_EQ(out.var(i, j), legacy.var(i, j)) << i << "," << j;
+      }
+  }
+}
+
+// An estimator builds its sessions from its propagator's surrogates rather
+// than fitting again; the result must not differ from a session that fits
+// its own.
+TEST(InferenceSession, EstimatorSessionBitIdenticalToStandaloneSession) {
+  Rng rng(31);
+  const Mlp mlp = random_mlp({10, 24, 24, 4}, Activation::kTanh, 0.85, rng);
+  const ApdEstimator estimator(mlp);
+  const MeanVar input = MeanVar::point(random_matrix(7, 10, rng));
+
+  for (const Precision precision :
+       {Precision::kF64, Precision::kF32, Precision::kI8}) {
+    SCOPED_TRACE(precision_name(precision));
+    SessionConfig cfg;
+    cfg.precision = precision;
+    const InferenceSession standalone(mlp, cfg);
+    const std::shared_ptr<InferenceSession> owned =
+        estimator.session(precision);
+    ASSERT_EQ(owned->precision(), precision);
+
+    MeanVar want, got;
+    standalone.propagate(input, want);
+    owned->propagate(input, got);
+    ASSERT_EQ(got.batch(), want.batch());
+    ASSERT_EQ(got.dim(), want.dim());
+    for (std::size_t i = 0; i < got.batch(); ++i)
+      for (std::size_t j = 0; j < got.dim(); ++j) {
+        EXPECT_EQ(got.mean(i, j), want.mean(i, j)) << i << "," << j;
+        EXPECT_EQ(got.var(i, j), want.var(i, j)) << i << "," << j;
       }
   }
 }

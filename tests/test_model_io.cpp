@@ -2,13 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
+#include <cmath>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
+#include <limits>
+#include <string>
 
 #include "common/rng.h"
+#include "temp_dir.h"
 #include "tensor/ops.h"
 
 namespace apds {
@@ -16,20 +17,9 @@ namespace {
 
 class ModelIoTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    // Per-pid dir: parallel ctest runs each case in its own process, and a
-    // shared dir races one case's TearDown against another's save/load.
-    dir_ = std::filesystem::temp_directory_path() /
-           ("apds_model_io_test_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
+  std::string path(const std::string& name) const { return dir_.file(name); }
 
-  std::string path(const std::string& name) const {
-    return (dir_ / name).string();
-  }
-
-  std::filesystem::path dir_;
+  const TempDir dir_{"apds_model_io_test"};
 };
 
 Mlp make_model(Rng& rng) {
@@ -104,6 +94,46 @@ TEST_F(ModelIoTest, OverwriteReplacesOldModel) {
   save_model(second, path("m.apds"));
   const Mlp loaded = load_model(path("m.apds"));
   EXPECT_EQ(loaded.layer(0).weight(0, 0), 123.0);
+}
+
+// Saves `m` (save_model writes whatever it is given, so this is the file a
+// corrupted write would leave) and expects load_model to reject it with an
+// IoError whose message contains `expect`.
+void expect_load_rejects(const Mlp& m, const std::string& file,
+                         const std::string& expect) {
+  save_model(m, file);
+  try {
+    (void)load_model(file);
+    ADD_FAILURE() << "load_model accepted " << file;
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find(expect), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(ModelIoTest, KeepProbOutsideUnitIntervalRejected) {
+  Rng rng(5);
+  Mlp m = make_model(rng);
+  m.mutable_layer(1).keep_prob = 2.0;
+  expect_load_rejects(m, path("kp2.apds"), "layer 1 keep_prob");
+  m.mutable_layer(1).keep_prob = 0.0;
+  expect_load_rejects(m, path("kp0.apds"), "layer 1 keep_prob");
+  m.mutable_layer(1).keep_prob = std::nan("");
+  expect_load_rejects(m, path("kpnan.apds"), "layer 1 keep_prob");
+  m.mutable_layer(1).keep_prob = 1.0;  // the boundary is allowed
+  save_model(m, path("kp1.apds"));
+  EXPECT_EQ(load_model(path("kp1.apds")).layer(1).keep_prob, 1.0);
+}
+
+TEST_F(ModelIoTest, NonFiniteParametersRejected) {
+  Rng rng(6);
+  Mlp m = make_model(rng);
+  m.mutable_layer(1).weight(2, 1) = std::nan("");
+  expect_load_rejects(m, path("nan_w.apds"), "layer 1 has a non-finite weight");
+
+  Mlp b = make_model(rng);
+  b.mutable_layer(0).bias(0, 3) = std::numeric_limits<double>::infinity();
+  expect_load_rejects(b, path("inf_b.apds"), "layer 0 has a non-finite bias");
 }
 
 }  // namespace

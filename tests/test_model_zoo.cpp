@@ -1,10 +1,10 @@
 #include "eval/model_zoo.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <filesystem>
 
+#include "temp_dir.h"
 #include "tensor/ops.h"
 
 namespace apds {
@@ -27,20 +27,11 @@ ZooConfig tiny_config(const std::string& cache_dir) {
 
 class ModelZooTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    // Unique per process so parallel ctest runs of the individual TEST_F
-    // entries cannot clobber each other's model cache.
-    dir_ = (std::filesystem::temp_directory_path() /
-            ("apds_zoo_test_" + std::to_string(::getpid())))
-               .string();
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::string dir_;
+  const TempDir dir_{"apds_zoo_test"};
 };
 
 TEST_F(ModelZooTest, DataShapesAreConsistent) {
-  ModelZoo zoo(tiny_config(dir_));
+  ModelZoo zoo(tiny_config(dir_.str()));
   for (TaskId task : all_tasks()) {
     const TaskData& td = zoo.data(task);
     EXPECT_EQ(td.x_train.rows(), td.y_train.rows());
@@ -59,7 +50,7 @@ TEST_F(ModelZooTest, DataShapesAreConsistent) {
 }
 
 TEST_F(ModelZooTest, TaskDimensionsMatchPaper) {
-  ModelZoo zoo(tiny_config(dir_));
+  ModelZoo zoo(tiny_config(dir_.str()));
   EXPECT_EQ(zoo.data(TaskId::kBpest).x_test.cols(), 250u);
   EXPECT_EQ(zoo.data(TaskId::kBpest).output_dim, 250u);
   EXPECT_EQ(zoo.data(TaskId::kNyCommute).x_test.cols(), 5u);
@@ -70,23 +61,23 @@ TEST_F(ModelZooTest, TaskDimensionsMatchPaper) {
 }
 
 TEST_F(ModelZooTest, TrainsAndCachesModels) {
-  ModelZoo zoo(tiny_config(dir_));
+  ModelZoo zoo(tiny_config(dir_.str()));
   const Mlp& m = zoo.dropout_model(TaskId::kGasSen, Activation::kRelu);
   EXPECT_EQ(m.input_dim(), 16u);
   EXPECT_EQ(m.output_dim(), 2u);
   EXPECT_EQ(m.num_layers(), 3u);  // 2 hidden + output
   EXPECT_TRUE(std::filesystem::exists(
-      std::filesystem::path(dir_) / "gassen_relu_dropout.apds"));
+      dir_.file("gassen_relu_dropout.apds")));
 }
 
 TEST_F(ModelZooTest, SecondZooLoadsIdenticalModelFromCache) {
   Matrix before;
   {
-    ModelZoo zoo(tiny_config(dir_));
+    ModelZoo zoo(tiny_config(dir_.str()));
     const Mlp& m = zoo.dropout_model(TaskId::kGasSen, Activation::kTanh);
     before = m.forward_deterministic(zoo.data(TaskId::kGasSen).x_test);
   }
-  ModelZoo zoo2(tiny_config(dir_));
+  ModelZoo zoo2(tiny_config(dir_.str()));
   const Mlp& m2 = zoo2.dropout_model(TaskId::kGasSen, Activation::kTanh);
   const Matrix after =
       m2.forward_deterministic(zoo2.data(TaskId::kGasSen).x_test);
@@ -94,28 +85,26 @@ TEST_F(ModelZooTest, SecondZooLoadsIdenticalModelFromCache) {
 }
 
 TEST_F(ModelZooTest, RdeepsenseRegressionHasDoubledHead) {
-  ModelZoo zoo(tiny_config(dir_));
+  ModelZoo zoo(tiny_config(dir_.str()));
   const Mlp& m = zoo.rdeepsense_model(TaskId::kGasSen, Activation::kRelu);
   EXPECT_EQ(m.output_dim(), 4u);  // 2 outputs x (mu, s)
 }
 
 TEST_F(ModelZooTest, RdeepsenseClassificationKeepsLogitHead) {
-  ModelZoo zoo(tiny_config(dir_));
+  ModelZoo zoo(tiny_config(dir_.str()));
   const Mlp& m = zoo.rdeepsense_model(TaskId::kHhar, Activation::kRelu);
   EXPECT_EQ(m.output_dim(), 6u);
 }
 
 TEST_F(ModelZooTest, DatasetsAreDeterministicPerSeed) {
-  ModelZoo a(tiny_config(dir_ + "_a"));
-  ModelZoo b(tiny_config(dir_ + "_b"));
+  ModelZoo a(tiny_config(dir_.file("a")));
+  ModelZoo b(tiny_config(dir_.file("b")));
   EXPECT_EQ(a.data(TaskId::kNyCommute).x_test,
             b.data(TaskId::kNyCommute).x_test);
-  std::filesystem::remove_all(dir_ + "_a");
-  std::filesystem::remove_all(dir_ + "_b");
 }
 
 TEST_F(ModelZooTest, HiddenLayersUseDropout) {
-  ModelZoo zoo(tiny_config(dir_));
+  ModelZoo zoo(tiny_config(dir_.str()));
   const Mlp& m = zoo.dropout_model(TaskId::kNyCommute, Activation::kRelu);
   EXPECT_EQ(m.layer(0).keep_prob, 1.0);
   for (std::size_t l = 1; l < m.num_layers(); ++l)

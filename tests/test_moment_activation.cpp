@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/rng.h"
 #include "stats/gaussian.h"
@@ -124,16 +125,27 @@ TEST(MomentActivation, GaussianVecInPlaceMatchesScalar) {
 // Property sweep: closed-form moments of the PWL surrogate must match
 // Monte-Carlo sampling of the same surrogate for all activations and a
 // range of (mu, sigma).
+//
+// gtest names each case by dumping the raw bytes of ActCase. The four bytes
+// after `act` used to be padding, so the registered test names varied with
+// whatever was on the stack. `name_tag` fills that slot explicitly; its values
+// reproduce the names the cases are registered under and carry no meaning.
 struct ActCase {
   Activation act;
+  std::uint32_t name_tag;
   double mu;
   double sigma;
 };
+static_assert(sizeof(Activation) == 4 && sizeof(ActCase) == 24,
+              "ActCase must have no padding");
 
 class MomentActivationMc : public ::testing::TestWithParam<ActCase> {};
 
 TEST_P(MomentActivationMc, ClosedFormMatchesSimulation) {
-  const auto [act, mu, sigma] = GetParam();
+  const ActCase& c = GetParam();
+  const Activation act = c.act;
+  const double mu = c.mu;
+  const double sigma = c.sigma;
   const auto f = PiecewiseLinear::for_activation(act, 7);
   const ScalarMoments predicted =
       activation_moments(f, mu, sigma * sigma);
@@ -153,14 +165,15 @@ TEST_P(MomentActivationMc, ClosedFormMatchesSimulation) {
 
 INSTANTIATE_TEST_SUITE_P(
     Activations, MomentActivationMc,
-    ::testing::Values(ActCase{Activation::kRelu, 0.0, 1.0},
-                      ActCase{Activation::kRelu, -1.5, 0.7},
-                      ActCase{Activation::kRelu, 2.0, 3.0},
-                      ActCase{Activation::kTanh, 0.0, 1.0},
-                      ActCase{Activation::kTanh, 1.0, 0.5},
-                      ActCase{Activation::kTanh, -2.5, 2.0},
-                      ActCase{Activation::kSigmoid, 0.5, 1.5},
-                      ActCase{Activation::kIdentity, -3.0, 2.0}));
+    ::testing::Values(ActCase{Activation::kRelu, 0, 0.0, 1.0},
+                      ActCase{Activation::kRelu, 0, -1.5, 0.7},
+                      ActCase{Activation::kRelu, 0, 2.0, 3.0},
+                      ActCase{Activation::kTanh, 0, 0.0, 1.0},
+                      ActCase{Activation::kTanh, 0xEFE00000u, 1.0, 0.5},
+                      ActCase{Activation::kTanh, 0x002C3B03u, -2.5, 2.0},
+                      ActCase{Activation::kSigmoid, 0, 0.5, 1.5},
+                      ActCase{Activation::kIdentity, 0xCAC00000u, -3.0,
+                              2.0}));
 
 }  // namespace
 }  // namespace apds

@@ -7,11 +7,8 @@
 // the --precision/APDS_PRECISION dispatch plumbing itself.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cmath>
 #include <cstdlib>
-#include <filesystem>
 #include <vector>
 
 #include "common/precision.h"
@@ -19,6 +16,7 @@
 #include "core/apdeepsense.h"
 #include "eval/experiment.h"
 #include "tensor/gemm.h"
+#include "temp_dir.h"
 #include "tensor/ops.h"
 
 namespace apds {
@@ -263,12 +261,8 @@ TEST(PrecisionDispatch, RecordingPathIgnoresGlobalPrecision) {
 class PrecisionEndTaskTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (std::filesystem::temp_directory_path() /
-            ("apds_precision_test_" + std::to_string(::getpid())))
-               .string();
-    std::filesystem::remove_all(dir_);
     ZooConfig cfg;
-    cfg.cache_dir = dir_;
+    cfg.cache_dir = dir_.str();
     cfg.hidden_dim = 16;
     cfg.hidden_layers = 2;
     cfg.n_train = 150;
@@ -277,10 +271,7 @@ class PrecisionEndTaskTest : public ::testing::Test {
     cfg.train.epochs = 2;
     zoo_ = std::make_unique<ModelZoo>(cfg);
   }
-  void TearDown() override {
-    clear_global_precision();
-    std::filesystem::remove_all(dir_);
-  }
+  void TearDown() override { clear_global_precision(); }
 
   std::vector<ModelPerfRow> run_at(TaskId task, Precision p) {
     ExperimentOptions opt;
@@ -292,7 +283,7 @@ class PrecisionEndTaskTest : public ::testing::Test {
     return rows;
   }
 
-  std::string dir_;
+  const TempDir dir_{"apds_precision_test"};
   std::unique_ptr<ModelZoo> zoo_;
 };
 
