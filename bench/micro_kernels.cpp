@@ -20,9 +20,8 @@
 // quantization speedup floors. All apd_propagate_* rows run through
 // planned-arena InferenceSessions with a reused output batch, so their
 // `allocs` column is 0 in steady state (bench-smoke gates this via
-// bench_compare --max-allocs apd_propagate_:0), and the
-// apd_{legacy,session}_b1_f32 pair measures the small-batch serving win
-// of the planned arena over the legacy per-call path.
+// bench_compare --max-allocs apd_propagate_:0); apd_session_b1_f32 times
+// the same session path at batch 1, the serving configuration.
 // The JSON header records the resolved
 // kernel ISA tier ("isa") and ambient precision alongside the thread
 // count, so a comparison across reports taken on different machines or
@@ -37,6 +36,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -48,7 +48,9 @@
 #include "common/rng.h"
 #include "core/apdeepsense.h"
 #include "core/inference_session.h"
+#include "core/moment_activation.h"
 #include "core/moment_fused.h"
+#include "core/moment_linear.h"
 #include "obs/alloc_stats.h"
 #include "obs/perf_counters.h"
 #include "obs/run_options.h"
@@ -341,23 +343,49 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
     });
     // Fusion gate pair: same math, with vs without the intermediate
     // pre-activation matrices. bench_compare holds their ratio >= 1.3x.
+    // Both run the raw entry points a session runs, with the PWL pack,
+    // scratch and output hoisted, so the pair differs only in the fusion.
+    const std::size_t batch = inputf.batch();
+    const std::size_t kdim = inputf.dim();
+    const std::size_t n = wf.cols();
+    const PwlPack pack = pack_pwl(f);
+    std::vector<float> sm(batch * kdim), vi(batch * kdim);
+    MeanVarF act_out(batch, n);
     record("moment_act_unfused_b64_f32", [&] {
-      MeanVarF out = moment_linear(inputf, wf, w2f, bf, 0.9);
-      moment_activation_inplace(f, out);
-      benchmark::DoNotOptimize(out.mean.data());
+      moment_linear_into(inputf.mean.data(), inputf.var.data(), batch, kdim,
+                         wf.data(), w2f.data(), bf.data(), n, 0.9, sm.data(),
+                         vi.data(), act_out.mean.data(), act_out.var.data());
+      moment_activation_batch(f, pack.view(), act_out.mean.data(),
+                              act_out.var.data(), batch * n);
+      benchmark::DoNotOptimize(act_out.mean.data());
     });
+    FusedScratchView scratch;
+    scratch.sm = sm.data();
+    scratch.vi = vi.data();
     record("moment_act_fused_b64_f32", [&] {
-      MeanVarF out = moment_linear_act(inputf, wf, w2f, bf, 0.9, f);
-      benchmark::DoNotOptimize(out.mean.data());
+      moment_linear_act_into(inputf.mean.data(), inputf.var.data(), batch,
+                             kdim, wf.data(), w2f.data(), bf.data(), n, 0.9,
+                             f, pack.view(), scratch, act_out.mean.data(),
+                             act_out.var.data());
+      benchmark::DoNotOptimize(act_out.mean.data());
     });
     DenseLayer dense;
     dense.weight = weight;
     dense.bias = bias;
     dense.keep_prob = 0.9;
     const QuantizedDenseLayer qdense = quantize_dense_layer(dense);
+    std::vector<std::int8_t> q_sm(batch * kdim), q_vi(batch * kdim);
+    std::vector<float> sm_scale(batch), vi_scale(batch);
+    FusedScratchView q_scratch = scratch;
+    q_scratch.q_sm = q_sm.data();
+    q_scratch.q_vi = q_vi.data();
+    q_scratch.sm_scale = sm_scale.data();
+    q_scratch.vi_scale = vi_scale.data();
     record("moment_act_fused_b64_i8", [&] {
-      MeanVarF out = moment_linear_act(inputf, qdense, 0.9, f);
-      benchmark::DoNotOptimize(out.mean.data());
+      moment_linear_act_into(inputf.mean.data(), inputf.var.data(), batch,
+                             kdim, qdense, 0.9, f, pack.view(), q_scratch,
+                             act_out.mean.data(), act_out.var.data());
+      benchmark::DoNotOptimize(act_out.mean.data());
     });
   }
   {
@@ -440,21 +468,14 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
       i8_session.propagate(input, out);
       benchmark::DoNotOptimize(out.mean.data());
     });
-    // Small-batch serving pair: the session's planned arena vs the legacy
-    // per-call path at batch 1 (f32, the serving configuration). CI holds
-    // apd_session_b1_f32 at least as fast as apd_legacy_b1_f32 — the
-    // allocation/packing overhead the session amortizes is the whole cost
-    // at this size.
+    // Batch 1 at f32, the serving configuration: per-call overhead (which
+    // the planned arena removes) is a large share of the cost at this size.
     const MeanVar input1 = MeanVar::point(random_matrix(1, 250, rng));
     SessionConfig b1_cfg;
     b1_cfg.precision = Precision::kF32;
     b1_cfg.max_batch = 1;
     const InferenceSession b1_session(mlp, apd.surrogates(), b1_cfg);
     MeanVar out1;
-    record("apd_legacy_b1_f32", [&] {
-      MeanVar o = apd.propagate(input1, Precision::kF32);
-      benchmark::DoNotOptimize(o.mean.data());
-    });
     record("apd_session_b1_f32", [&] {
       b1_session.propagate(input1, out1);
       benchmark::DoNotOptimize(out1.mean.data());

@@ -21,13 +21,11 @@ std::vector<PiecewiseLinear> net_surrogates(const ConvNet& net,
 }  // namespace
 
 ConvApDeepSense::ConvApDeepSense(const ConvNet& net, ApDeepSenseConfig config)
-    : ConvApDeepSense(net, config,
-                      net_surrogates(net, config.saturating_pieces)) {}
+    : ConvApDeepSense(net, net_surrogates(net, config.saturating_pieces)) {}
 
-ConvApDeepSense::ConvApDeepSense(const ConvNet& net, ApDeepSenseConfig config,
+ConvApDeepSense::ConvApDeepSense(const ConvNet& net,
                                  std::vector<PiecewiseLinear> surrogates)
     : net_(&net),
-      config_(config),
       conv_surrogates_(surrogates.begin(),
                        surrogates.begin() + static_cast<std::ptrdiff_t>(
                                                 net.num_conv_layers())),

@@ -22,11 +22,10 @@ class ConvApDeepSense {
 
  private:
   /// `surrogates` holds the conv layers' surrogates, then the head's.
-  ConvApDeepSense(const ConvNet& net, ApDeepSenseConfig config,
+  ConvApDeepSense(const ConvNet& net,
                   std::vector<PiecewiseLinear> surrogates);
 
   const ConvNet* net_;  ///< non-owning; must outlive this object
-  ApDeepSenseConfig config_;
   std::vector<PiecewiseLinear> conv_surrogates_;
   ApDeepSense head_;  ///< analytic propagator over the dense head
 };

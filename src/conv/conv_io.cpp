@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <fstream>
 
+#include "nn/model_io.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/tensor_io.h"
@@ -111,7 +112,9 @@ ConvNet load_conv_net(const std::string& path) {
     layer.act = parse_activation(read_string(is));
     layer.channel_keep_prob = read_f64(is);
     layer.weight = read_matrix(is);
+    check_finite(layer.weight, "conv net file: conv layer", l, "weight");
     layer.bias = read_matrix(is);
+    check_finite(layer.bias, "conv net file: conv layer", l, "bias");
     layer.check();
     convs.push_back(std::move(layer));
   }
@@ -125,8 +128,15 @@ ConvNet load_conv_net(const std::string& path) {
     DenseLayer layer;
     layer.act = parse_activation(read_string(is));
     layer.keep_prob = read_f64(is);
+    // (0, 1], as load_model checks it; NaN fails both comparisons.
+    if (!(layer.keep_prob > 0.0 && layer.keep_prob <= 1.0))
+      throw IoError("conv net file: head layer " + std::to_string(l) +
+                    " keep_prob " + std::to_string(layer.keep_prob) +
+                    " outside (0, 1]");
     layer.weight = read_matrix(is);
+    check_finite(layer.weight, "conv net file: head layer", l, "weight");
     layer.bias = read_matrix(is);
+    check_finite(layer.bias, "conv net file: head layer", l, "bias");
     head_layers.push_back(std::move(layer));
   }
   MetricsRegistry::instance().counter("io.conv_net_bytes_read").add(

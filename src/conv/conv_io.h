@@ -15,7 +15,10 @@ namespace apds {
 /// Write the network to `path`. Throws IoError on failure.
 void save_conv_net(const ConvNet& net, const std::string& path);
 
-/// Load a network written by save_conv_net. Throws IoError on failure.
+/// Load a network written by save_conv_net. Throws IoError on failure, and
+/// on a file whose values no network can hold: a head keep_prob outside
+/// (0, 1] or a non-finite conv or head weight or bias (the message names
+/// the layer).
 ConvNet load_conv_net(const std::string& path);
 
 /// True if `path` exists and starts with the ConvNet magic.

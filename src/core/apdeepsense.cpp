@@ -1,30 +1,12 @@
 #include "core/apdeepsense.h"
 
-#include "core/moment_contract.h"
-#include "obs/flight_recorder.h"
-#include "obs/perf_counters.h"
-#include "obs/trace.h"
-#include "tensor/ops.h"
-
 namespace apds {
 
-namespace {
-
-/// Chrome-trace args for one dense moment-propagation layer.
-std::string layer_span_args(std::size_t l, const DenseLayer& layer) {
-  return "\"layer\":" + std::to_string(l) +
-         ",\"in\":" + std::to_string(layer.in_dim()) +
-         ",\"out\":" + std::to_string(layer.out_dim()) + ",\"act\":\"" +
-         activation_name(layer.act) + "\"";
-}
-
-}  // namespace
-
 ApDeepSense::ApDeepSense(const Mlp& mlp, ApDeepSenseConfig config)
-    : mlp_(&mlp), config_(config) {
-  APDS_CHECK(config_.saturating_pieces >= 3);
+    : mlp_(&mlp) {
+  APDS_CHECK(config.saturating_pieces >= 3);
   surrogates_ = PiecewiseLinear::for_activations(mlp.activations(),
-                                                 config_.saturating_pieces);
+                                                 config.saturating_pieces);
 }
 
 ApDeepSense::ApDeepSense(const Mlp& mlp,
@@ -34,46 +16,18 @@ ApDeepSense::ApDeepSense(const Mlp& mlp,
                  "ApDeepSense: one surrogate per layer required");
 }
 
-const std::vector<Matrix>& ApDeepSense::f64_pack() const {
-  std::call_once(f64_once_, [&] {
-    const std::size_t layers = mlp_->num_layers();
-    weight_sq_.reserve(layers);
-    for (std::size_t l = 0; l < layers; ++l)
-      weight_sq_.push_back(square(mlp_->layer(l).weight));
-  });
-  return weight_sq_;
-}
-
-const ApDeepSense::F32Pack& ApDeepSense::f32_pack() const {
-  std::call_once(f32_once_, [&] {
-    const std::size_t layers = mlp_->num_layers();
-    F32Pack& pack = f32_pack_storage_;
-    pack.weight.reserve(layers);
-    pack.weight_sq.reserve(layers);
-    pack.bias.reserve(layers);
-    for (std::size_t l = 0; l < layers; ++l) {
-      const DenseLayer& layer = mlp_->layer(l);
-      pack.weight.push_back(to_f32(layer.weight));
-      pack.weight_sq.push_back(to_f32(square(layer.weight)));
-      pack.bias.push_back(to_f32(layer.bias));
-    }
-  });
-  return f32_pack_storage_;
-}
-
-const ApDeepSense::I8Pack& ApDeepSense::i8_pack() const {
-  std::call_once(i8_once_, [&] {
-    const std::size_t layers = mlp_->num_layers();
-    I8Pack& pack = i8_pack_storage_;
-    pack.hidden.reserve(layers - 1);
-    for (std::size_t l = 0; l + 1 < layers; ++l)
-      pack.hidden.push_back(quantize_dense_layer(mlp_->layer(l)));
-    const DenseLayer& last = mlp_->layer(layers - 1);
-    pack.final_weight = to_f32(last.weight);
-    pack.final_weight_sq = to_f32(square(last.weight));
-    pack.final_bias = to_f32(last.bias);
-  });
-  return i8_pack_storage_;
+std::shared_ptr<InferenceSession> ApDeepSense::session(
+    Precision precision) const {
+  const std::size_t idx = static_cast<std::size_t>(precision);
+  APDS_CHECK(idx < sessions_.size());
+  MutexLock lk(&sessions_mu_);
+  if (!sessions_[idx]) {
+    SessionConfig cfg;
+    cfg.precision = precision;
+    sessions_[idx] =
+        std::make_shared<InferenceSession>(*mlp_, surrogates_, cfg);
+  }
+  return sessions_[idx];
 }
 
 MeanVar ApDeepSense::propagate(const Matrix& x) const {
@@ -86,87 +40,7 @@ MeanVar ApDeepSense::propagate(const MeanVar& input) const {
 
 MeanVar ApDeepSense::propagate(const MeanVar& input,
                                Precision precision) const {
-  switch (precision) {
-    case Precision::kF32:
-      return propagate_f32(input);
-    case Precision::kI8:
-      return propagate_i8(input);
-    default:
-      return propagate_f64(input);
-  }
-}
-
-MeanVar ApDeepSense::propagate_f64(const MeanVar& input) const {
-  APDS_TRACE_SCOPE("apd.propagate");
-  // One relaxed load when profiling is off (bench-gated by the
-  // perf_region_overhead row); under --profile it attributes this pass's
-  // cycles/cache traffic to the dispatched kernel backend.
-  obs::PerfCounterRegion perf_region;
-  const std::vector<Matrix>& weight_sq = f64_pack();
-  MeanVar h = input;
-  APDS_MOMENT_CONTRACT(h, "apd.propagate input");
-  for (std::size_t l = 0; l < mlp_->num_layers(); ++l) {
-    const DenseLayer& layer = mlp_->layer(l);
-    obs::FlightLayerTimer layer_timer;
-    TraceSpan span("apd.layer");
-    if (span.active()) span.set_args(layer_span_args(l, layer));
-    h = moment_linear(h, layer.weight, weight_sq[l], layer.bias,
-                      layer.keep_prob);
-    moment_activation_inplace(surrogates_[l], h);
-    APDS_MOMENT_CONTRACT(h, "apd.propagate layer output");
-  }
-  return h;
-}
-
-MeanVar ApDeepSense::propagate_f32(const MeanVar& input) const {
-  APDS_TRACE_SCOPE("apd.propagate_f32");
-  obs::PerfCounterRegion perf_region;
-  const F32Pack& pack = f32_pack();
-  // Narrow once at entry and widen once at exit; the whole layer stack
-  // stays single-precision in between. Each layer runs the fused
-  // moment_linear -> activation kernel, so the pre-activation moment
-  // matrices never round-trip through memory.
-  MeanVarF h = to_f32(input);
-  APDS_MOMENT_CONTRACT(h, "apd.propagate_f32 input");
-  for (std::size_t l = 0; l < mlp_->num_layers(); ++l) {
-    const DenseLayer& layer = mlp_->layer(l);
-    obs::FlightLayerTimer layer_timer;
-    TraceSpan span("apd.layer");
-    if (span.active()) span.set_args(layer_span_args(l, layer));
-    h = moment_linear_act(h, pack.weight[l], pack.weight_sq[l], pack.bias[l],
-                          layer.keep_prob, surrogates_[l]);
-    APDS_MOMENT_CONTRACT(h, "apd.propagate_f32 layer output");
-  }
-  return to_f64(h);
-}
-
-MeanVar ApDeepSense::propagate_i8(const MeanVar& input) const {
-  APDS_TRACE_SCOPE("apd.propagate_i8");
-  obs::PerfCounterRegion perf_region;
-  const I8Pack& pack = i8_pack();
-  // Hidden layers run on symmetric i8 weights with exact i32 accumulation;
-  // the final layer — the moment head whose variance the caller consumes —
-  // stays on the fused f32 kernels (quantization-aware placement: the
-  // accuracy cost concentrates where the output is reported, the latency
-  // win concentrates in the hidden stack).
-  MeanVarF h = to_f32(input);
-  APDS_MOMENT_CONTRACT(h, "apd.propagate_i8 input");
-  const std::size_t layers = mlp_->num_layers();
-  for (std::size_t l = 0; l < layers; ++l) {
-    const DenseLayer& layer = mlp_->layer(l);
-    obs::FlightLayerTimer layer_timer;
-    TraceSpan span("apd.layer");
-    if (span.active()) span.set_args(layer_span_args(l, layer));
-    if (l + 1 < layers) {
-      h = moment_linear_act(h, pack.hidden[l], layer.keep_prob,
-                            surrogates_[l]);
-    } else {
-      h = moment_linear_act(h, pack.final_weight, pack.final_weight_sq,
-                            pack.final_bias, layer.keep_prob, surrogates_[l]);
-    }
-    APDS_MOMENT_CONTRACT(h, "apd.propagate_i8 layer output");
-  }
-  return to_f64(h);
+  return session(precision)->propagate(input);
 }
 
 GaussianVec ApDeepSense::propagate_one(std::span<const double> x) const {
@@ -176,23 +50,9 @@ GaussianVec ApDeepSense::propagate_one(std::span<const double> x) const {
 
 MeanVar ApDeepSense::propagate_recording(
     const MeanVar& input, std::vector<MeanVar>& layer_outputs) const {
-  const std::vector<Matrix>& weight_sq = f64_pack();
-  layer_outputs.clear();
-  layer_outputs.reserve(mlp_->num_layers());
-  MeanVar h = input;
-  APDS_MOMENT_CONTRACT(h, "apd.propagate_recording input");
-  for (std::size_t l = 0; l < mlp_->num_layers(); ++l) {
-    const DenseLayer& layer = mlp_->layer(l);
-    obs::FlightLayerTimer layer_timer;
-    TraceSpan span("apd.layer");
-    if (span.active()) span.set_args(layer_span_args(l, layer));
-    h = moment_linear(h, layer.weight, weight_sq[l], layer.bias,
-                      layer.keep_prob);
-    moment_activation_inplace(surrogates_[l], h);
-    APDS_MOMENT_CONTRACT(h, "apd.propagate_recording layer output");
-    layer_outputs.push_back(h);
-  }
-  return h;
+  MeanVar out;
+  session(Precision::kF64)->propagate(input, out, &layer_outputs);
+  return out;
 }
 
 const PiecewiseLinear& ApDeepSense::surrogate(std::size_t l) const {

@@ -7,15 +7,16 @@
 // distribution at the output. No retraining, no sampling.
 #pragma once
 
-#include <map>
-#include <mutex>
+#include <array>
+#include <memory>
+#include <span>
 #include <vector>
 
+#include "common/mutex.h"
 #include "common/precision.h"
+#include "common/thread_annotations.h"
 #include "core/gaussian_vec.h"
-#include "core/moment_activation.h"
-#include "core/moment_fused.h"
-#include "core/moment_linear.h"
+#include "core/inference_session.h"
 #include "core/piecewise_linear.h"
 #include "nn/mlp.h"
 
@@ -30,9 +31,10 @@ struct ApDeepSenseConfig {
 ///
 /// Construction resolves one PWL surrogate per layer, fitting each distinct
 /// activation once (PiecewiseLinear::for_activations): a net with four tanh
-/// layers pays for one tanh fit. Sessions built for the same net from
-/// surrogates() (as ApdEstimator::session does) reuse these fits instead of
-/// refitting, and so cannot drift from this propagator.
+/// layers pays for one tanh fit. Every propagate runs through session(p),
+/// the InferenceSession for that precision, built on first use from the
+/// bound network and these surrogates; the session holds the only packed
+/// copy of the weights at that precision.
 class ApDeepSense {
  public:
   explicit ApDeepSense(const Mlp& mlp, ApDeepSenseConfig config = {});
@@ -46,18 +48,14 @@ class ApDeepSense {
   MeanVar propagate(const Matrix& x) const;
 
   /// Propagate an uncertain (Gaussian) input batch — e.g. sensor noise
-  /// models feeding uncertainty in at the input. Dispatches on
-  /// global_precision(): kF64 is the original bit-exact path; kF32 runs
-  /// the whole layer stack through the fused single-precision kernels
-  /// (packed f32 weights, runtime ISA dispatch) and widens the result;
-  /// kI8 runs hidden layers on symmetric-quantized i8 weights with exact
-  /// i32 accumulation and keeps the final moment head in f32.
+  /// models feeding uncertainty in at the input — at global_precision().
   MeanVar propagate(const MeanVar& input) const;
 
-  /// Propagate at an explicit precision regardless of the global setting.
-  /// The f32/i8 paths convert the input once, keep every intermediate
-  /// layer batch in f32, and convert the final moments back to f64; API
-  /// types stay double either way.
+  /// Propagate at an explicit precision regardless of the global setting:
+  /// kF64 is the reference path; kF32 runs the whole layer stack through
+  /// the fused single-precision kernels and widens the result; kI8 runs
+  /// hidden layers on symmetric-quantized i8 weights and keeps the final
+  /// moment head in f32. API types stay double either way.
   MeanVar propagate(const MeanVar& input, Precision precision) const;
 
   /// Single-input convenience.
@@ -72,8 +70,13 @@ class ApDeepSense {
   MeanVar propagate_recording(const MeanVar& input,
                               std::vector<MeanVar>& layer_outputs) const;
 
+  /// The session every propagate at `precision` runs through. Built on
+  /// first use (thread-safe), then shared: a process that only ever runs
+  /// one precision packs the weights once. Sessions are shared_ptr so
+  /// callers may also park them in a SessionRegistry.
+  std::shared_ptr<InferenceSession> session(Precision precision) const;
+
   const Mlp& network() const { return *mlp_; }
-  const ApDeepSenseConfig& config() const { return config_; }
 
   /// The PWL surrogate used for layer l's activation.
   const PiecewiseLinear& surrogate(std::size_t l) const;
@@ -84,48 +87,12 @@ class ApDeepSense {
   }
 
  private:
-  /// f32 fast-path pack: single-precision copies of W, W∘W and b per
-  /// layer, so propagate() at kF32 never converts weights per call.
-  /// weight_sq is squared in f64 then narrowed — one rounding, not two.
-  struct F32Pack {
-    std::vector<MatrixF> weight;
-    std::vector<MatrixF> weight_sq;
-    std::vector<MatrixF> bias;
-  };
-
-  /// i8 pack: hidden layers carry symmetric per-output-channel quantized
-  /// W / W∘W + f32 bias; the final layer — the moment head that reports
-  /// the predictive distribution — stays f32 (quantizing it costs
-  /// calibration for ~no latency, it is one layer out of L).
-  struct I8Pack {
-    std::vector<QuantizedDenseLayer> hidden;  ///< layers 0 .. L-2
-    MatrixF final_weight;
-    MatrixF final_weight_sq;
-    MatrixF final_bias;
-  };
-
-  MeanVar propagate_f64(const MeanVar& input) const;
-  MeanVar propagate_f32(const MeanVar& input) const;
-  MeanVar propagate_i8(const MeanVar& input) const;
-
-  // Weight packs are built lazily on first use per precision (thread-safe
-  // via call_once): a process that only ever runs one precision pays for
-  // exactly one pack, instead of tripling steady-state weight memory on
-  // devices that are the paper's whole point.
-  const std::vector<Matrix>& f64_pack() const;
-  const F32Pack& f32_pack() const;
-  const I8Pack& i8_pack() const;
-
   const Mlp* mlp_;  ///< non-owning; must outlive this object
-  ApDeepSenseConfig config_;
   std::vector<PiecewiseLinear> surrogates_;  ///< one per layer
 
-  mutable std::once_flag f64_once_;
-  mutable std::once_flag f32_once_;
-  mutable std::once_flag i8_once_;
-  mutable std::vector<Matrix> weight_sq_;  ///< cached W∘W per layer (f64)
-  mutable F32Pack f32_pack_storage_;
-  mutable I8Pack i8_pack_storage_;
+  mutable Mutex sessions_mu_;
+  mutable std::array<std::shared_ptr<InferenceSession>, 3> sessions_
+      APDS_GUARDED_BY(sessions_mu_);
 };
 
 }  // namespace apds

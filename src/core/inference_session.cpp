@@ -56,9 +56,7 @@ void InferenceSession::build(const Mlp& mlp) {
     act_names_.push_back(activation_name(layer.act));
   }
 
-  // Weight packs mirror ApDeepSense's lazy per-precision packs exactly
-  // (same squaring/narrowing order), so session outputs are bit-identical
-  // to the legacy propagate entry points.
+  // W∘W is squared in f64 and then narrowed: one rounding, not two.
   switch (config_.precision) {
     case Precision::kF32:
       w32_.reserve(layers);
@@ -203,7 +201,8 @@ InferenceSession::ThreadArena& InferenceSession::thread_arena(
   return *ta;
 }
 
-void InferenceSession::propagate(const MeanVar& input, MeanVar& out) const {
+void InferenceSession::propagate(const MeanVar& input, MeanVar& out,
+                                 std::vector<MeanVar>* layer_outputs) const {
   APDS_CHECK_MSG(input.dim() == input_dim(),
                  "InferenceSession: input dim " << input.dim()
                                                 << " != " << input_dim());
@@ -213,6 +212,10 @@ void InferenceSession::propagate(const MeanVar& input, MeanVar& out) const {
   APDS_CHECK_MSG(&input != &out, "InferenceSession: output aliases input");
   const std::size_t batch = input.batch();
   APDS_CHECK_MSG(batch > 0, "InferenceSession: empty batch");
+  APDS_CHECK_MSG(layer_outputs == nullptr ||
+                     config_.precision == Precision::kF64,
+                 "InferenceSession: layer recording needs an f64 session, "
+                 "not " << precision_name(config_.precision));
 
   TraceSpan span("session.propagate");
   if (span.active())
@@ -220,8 +223,7 @@ void InferenceSession::propagate(const MeanVar& input, MeanVar& out) const {
                   precision_name(config_.precision) +
                   "\",\"batch\":" + std::to_string(batch));
   // One relaxed load when profiling is off; under --profile this pass's
-  // counters attribute to the dispatched kernel backend, like the legacy
-  // paths.
+  // counters attribute to the dispatched kernel backend.
   obs::PerfCounterRegion perf_region;
   if (obs::RequestScope* scope = obs::RequestScope::current())
     scope->set_session(id_);
@@ -242,7 +244,7 @@ void InferenceSession::propagate(const MeanVar& input, MeanVar& out) const {
       propagate_i8(input, out, ta);
       break;
     default:
-      propagate_f64(input, out, ta);
+      propagate_f64(input, out, ta, layer_outputs);
       break;
   }
   propagate_count_.fetch_add(1, std::memory_order_relaxed);
@@ -258,8 +260,9 @@ MeanVar InferenceSession::propagate(const Matrix& x) const {
   return propagate(MeanVar::point(x));
 }
 
-void InferenceSession::propagate_f64(const MeanVar& input, MeanVar& out,
-                                     ThreadArena& ta) const {
+void InferenceSession::propagate_f64(
+    const MeanVar& input, MeanVar& out, ThreadArena& ta,
+    std::vector<MeanVar>* layer_outputs) const {
   const std::size_t batch = input.batch();
   const std::size_t L = num_layers();
   double* sm = ta.arena.at<double>(ta.plan.sm);
@@ -268,6 +271,9 @@ void InferenceSession::propagate_f64(const MeanVar& input, MeanVar& out,
   const double* cv = input.var.data();
   APDS_MOMENT_CONTRACT_BUF(cm, cv, batch * dims_[0], dims_[0],
                            "session.propagate input");
+  // Recording is a validation surface, not serving, so its copies may
+  // allocate. apds-lint: allow(hot-path-alloc)
+  if (layer_outputs) layer_outputs->resize(L);
   for (std::size_t l = 0; l < L; ++l) {
     double* om;
     double* ov;
@@ -294,6 +300,15 @@ void InferenceSession::propagate_f64(const MeanVar& input, MeanVar& out,
     }
     APDS_MOMENT_CONTRACT_BUF(om, ov, batch * dims_[l + 1], dims_[l + 1],
                              "session.propagate layer output");
+    if (layer_outputs) {
+      MeanVar& rec = (*layer_outputs)[l];
+      // apds-lint: allow(hot-path-alloc) — recording copy, as above.
+      rec.mean.resize(batch, dims_[l + 1]);
+      // apds-lint: allow(hot-path-alloc) — recording copy, as above.
+      rec.var.resize(batch, dims_[l + 1]);
+      std::copy(om, om + batch * dims_[l + 1], rec.mean.data());
+      std::copy(ov, ov + batch * dims_[l + 1], rec.var.data());
+    }
     cm = om;
     cv = ov;
   }
@@ -307,8 +322,8 @@ void InferenceSession::propagate_f32(const MeanVar& input, MeanVar& out,
   scratch.sm = ta.arena.at<float>(ta.plan.sm);
   scratch.vi = ta.arena.at<float>(ta.plan.vi);
 
-  // Narrow once at entry (same elementwise cast as the legacy to_f32), run
-  // the whole layer stack in f32, widen once at exit.
+  // Narrow once at entry (the same elementwise cast as to_f32), run the
+  // whole layer stack in f32, widen once at exit.
   float* cm = ta.arena.at<float>(ta.plan.slot_mean[0]);
   float* cv = ta.arena.at<float>(ta.plan.slot_var[0]);
   {

@@ -12,8 +12,9 @@
 // propagate() therefore performs ZERO heap allocations: it hands out arena
 // pointers, runs the raw moment_*_into kernels, and writes into a
 // caller-reused output batch. tests/test_inference_session.cpp asserts the
-// zero-alloc property across precision x backend x thread count, and bit-
-// identity against the legacy ApDeepSense::propagate entry points.
+// zero-alloc property across precision x backend x thread count. Sessions
+// are the only dense moment-propagation loop: ApDeepSense and ApdEstimator
+// are facades that run every propagate through one.
 //
 // A session is thread-safe for concurrent propagate() calls (each thread
 // lazily gets its own arena, cached through core/arena.h's per-thread map)
@@ -66,7 +67,13 @@ class InferenceSession {
   /// Propagate into a caller-owned output batch. `out` is resized to
   /// [batch, output_dim]; when the caller reuses the same `out` across
   /// calls (capacity retained), a warmed-up call allocates nothing.
-  void propagate(const MeanVar& input, MeanVar& out) const;
+  ///
+  /// A non-null `layer_outputs` also receives each layer's post-activation
+  /// moments (resized to num_layers(); entry l is the output of layer l).
+  /// Recording is the validation surface (Fig. 1, precision tests), so it
+  /// is f64-only: any other session precision throws InvalidArgument.
+  void propagate(const MeanVar& input, MeanVar& out,
+                 std::vector<MeanVar>* layer_outputs = nullptr) const;
 
   /// By-value convenience (allocates the returned batch).
   MeanVar propagate(const MeanVar& input) const;
@@ -134,8 +141,8 @@ class InferenceSession {
   /// and (re)allocates; steady state is one thread-local map hit).
   ThreadArena& thread_arena(std::size_t batch) const;
 
-  void propagate_f64(const MeanVar& input, MeanVar& out,
-                     ThreadArena& ta) const;
+  void propagate_f64(const MeanVar& input, MeanVar& out, ThreadArena& ta,
+                     std::vector<MeanVar>* layer_outputs) const;
   void propagate_f32(const MeanVar& input, MeanVar& out,
                      ThreadArena& ta) const;
   void propagate_i8(const MeanVar& input, MeanVar& out,

@@ -29,7 +29,7 @@ constexpr std::size_t kActivationGrain = 256;
 
 void moment_activation_batch(const PiecewiseLinear& f, float* mean,
                              float* var, std::size_t n) {
-  // Legacy convenience: pays the pack per call by design; sessions hoist
+  // By-value convenience: pays the pack per call by design; sessions hoist
   // pack_pwl to load time. apds-lint: allow(hot-path-alloc)
   const PwlPack pack = pack_pwl(f);
   moment_activation_batch(f, pack.view(), mean, var, n);

@@ -16,9 +16,10 @@
 // symmetric quantized weights (tensor/quantize.h) with dynamic per-row
 // activation quantization and exact i32 accumulation — the paper's
 // low-cost-IoT pitch taken one tier further. The final moment head of a
-// network should stay f32/f64 (ApDeepSense does this); quantizing the
-// layer that *reports* the predictive variance costs calibration, whereas
-// hidden layers tolerate it (drift numbers in docs/PERFORMANCE.md).
+// network should stay f32/f64 (the i8 InferenceSession does this);
+// quantizing the layer that *reports* the predictive variance costs
+// calibration, whereas hidden layers tolerate it (drift numbers in
+// docs/PERFORMANCE.md).
 #pragma once
 
 #include <cstdint>
@@ -46,8 +47,7 @@ QuantizedDenseLayer quantize_dense_layer(const DenseLayer& layer);
 /// Caller-provided scratch for the raw fused entry points: sm/vi are
 /// batch x kdim f32 blocks (prepped GEMM inputs); the q_*/*_scale members
 /// are only dereferenced by the i8 overload (batch x kdim i8 rows plus
-/// per-row dynamic scales). Legacy wrappers carve this from the per-thread
-/// scratch arena; sessions pass arena-planned slices.
+/// per-row dynamic scales). Sessions pass arena-planned slices.
 struct FusedScratchView {
   float* sm = nullptr;
   float* vi = nullptr;
@@ -57,11 +57,13 @@ struct FusedScratchView {
   float* vi_scale = nullptr;
 };
 
-/// Raw-buffer fused f32 layer the Matrix overload delegates to
-/// (bit-identical). `view` is the packed form of `f` (pack_pwl) so repeated
-/// callers hoist the packing; `f` itself is still consulted for the f64
-/// scalar fixup of near-deterministic lanes. No allocation, no shape
-/// checks.
+/// Fused f32 moment_linear -> activation over raw row-major buffers:
+/// semantically identical to moment_linear_into followed by
+/// moment_activation_batch, minus the intermediate pre-activation matrices
+/// (rounding differs within f32 tolerance). `view` is the packed form of
+/// `f` (pack_pwl) so repeated callers hoist the packing; `f` itself is
+/// still consulted for the f64 scalar fixup of near-deterministic lanes.
+/// No allocation, no shape checks.
 void moment_linear_act_into(const float* in_mean, const float* in_var,
                             std::size_t batch, std::size_t kdim,
                             const float* weight, const float* weight_sq,
@@ -71,8 +73,10 @@ void moment_linear_act_into(const float* in_mean, const float* in_var,
                             const FusedScratchView& scratch, float* out_mean,
                             float* out_var);
 
-/// Raw-buffer fused i8 layer (dynamic per-row input quantization; scratch
-/// must include the q_*/*_scale blocks).
+/// Raw-buffer fused i8 layer: dynamic per-row input quantization, exact
+/// i32 accumulation against the packed i8 weights, dequantize + bias + PWL
+/// activation moments in one tile pass. Scratch must include the
+/// q_*/*_scale blocks; requires kdim <= kMaxQuantizedInnerDim.
 void moment_linear_act_into(const float* in_mean, const float* in_var,
                             std::size_t batch, std::size_t kdim,
                             const QuantizedDenseLayer& layer,
@@ -80,28 +84,5 @@ void moment_linear_act_into(const float* in_mean, const float* in_var,
                             const PwlView& view,
                             const FusedScratchView& scratch, float* out_mean,
                             float* out_var);
-
-/// Fused f32 moment_linear -> activation: semantically identical to
-/// moment_linear(...) followed by moment_activation_inplace(f, ...), minus
-/// the intermediate matrices (rounding differs within f32 tolerance).
-MeanVarF moment_linear_act(const MeanVarF& input, const MatrixF& weight,
-                           const MatrixF& weight_sq, const MatrixF& bias,
-                           double keep_prob, const PiecewiseLinear& f);
-
-/// Convenience overload that squares the weights on the fly. One-shot
-/// callers only — repeated callers must precompute weight_sq (debug
-/// builds count this in `moment_linear.weight_sq_recompute`, same as the
-/// unfused convenience overload).
-MeanVarF moment_linear_act(const MeanVarF& input, const MatrixF& weight,
-                           const MatrixF& bias, double keep_prob,
-                           const PiecewiseLinear& f);
-
-/// i8 fused layer: dynamic per-row input quantization, exact i32
-/// accumulation against the packed i8 weights, dequantize + bias + PWL
-/// activation moments in one tile pass. Requires
-/// input.dim() <= kMaxQuantizedInnerDim.
-MeanVarF moment_linear_act(const MeanVarF& input,
-                           const QuantizedDenseLayer& layer, double keep_prob,
-                           const PiecewiseLinear& f);
 
 }  // namespace apds

@@ -16,13 +16,13 @@ namespace apds {
 /// Propagate a batch of diagonal Gaussians through one dense layer's linear
 /// part (weights, bias, dropout) — activation NOT applied. `weight_sq` must
 /// be the elementwise square of `weight`; callers that propagate repeatedly
-/// (ApDeepSense) precompute it once per model.
+/// (InferenceSession) precompute it once per model.
 MeanVar moment_linear(const MeanVar& input, const Matrix& weight,
                       const Matrix& weight_sq, const Matrix& bias,
                       double keep_prob);
 
 /// Single-precision fast-path variant. Same math, same loop structure; the
-/// caller supplies f32-packed weights (ApDeepSense packs them at load).
+/// caller supplies f32-packed weights (InferenceSession packs them at load).
 MeanVarF moment_linear(const MeanVarF& input, const MatrixF& weight,
                        const MatrixF& weight_sq, const MatrixF& bias,
                        double keep_prob);

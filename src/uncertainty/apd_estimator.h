@@ -1,16 +1,12 @@
 // UncertaintyEstimator adapter over the analytic ApDeepSense propagator.
 //
-// Prediction runs through per-precision InferenceSessions (planned arenas,
-// zero steady-state allocations inside propagate); the legacy ApDeepSense
-// propagator is kept for callers that need its recording/explicit-precision
-// surface (e.g. the Fig. 1 harness and the input-noise bench).
+// Prediction runs through the propagator's per-precision InferenceSessions
+// (planned arenas, zero steady-state allocations inside propagate), so the
+// estimator and propagator() share one weight pack per precision.
 #pragma once
 
-#include <array>
 #include <memory>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "core/apdeepsense.h"
 #include "core/inference_session.h"
 #include "core/softmax_approx.h"
@@ -31,18 +27,15 @@ class ApdEstimator final : public UncertaintyEstimator {
 
   const ApDeepSense& propagator() const { return propagator_; }
 
-  /// The session backing predict_* at `precision` (built on first use from
-  /// the bound network and the propagator's surrogates, so it fits nothing
-  /// and matches propagator() layer for layer; sessions are shared_ptr so
-  /// callers may also park them in a SessionRegistry).
-  std::shared_ptr<InferenceSession> session(Precision precision) const;
+  /// The session backing predict_* at `precision`: propagator().session,
+  /// the same object the propagator itself runs through.
+  std::shared_ptr<InferenceSession> session(Precision precision) const {
+    return propagator_.session(precision);
+  }
 
  private:
   ApDeepSense propagator_;
   double var_floor_;
-  mutable Mutex sessions_mu_;
-  mutable std::array<std::shared_ptr<InferenceSession>, 3> sessions_
-      APDS_GUARDED_BY(sessions_mu_);
 };
 
 }  // namespace apds

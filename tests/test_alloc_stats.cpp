@@ -61,8 +61,8 @@ TEST(AllocStats, ProcessCountersIncludeTheCallingThread) {
 }
 
 /// Calling-thread allocation count of one propagate call after `warmup`
-/// identical calls (lazy caches — f32 weight mirrors, i8 quantization —
-/// settle during warm-up).
+/// identical calls (the lazily built session for `p` and this thread's
+/// arena settle during warm-up; what remains is the by-value result).
 std::uint64_t propagate_allocs(const ApDeepSense& apd, const MeanVar& input,
                                Precision p, int warmup = 3) {
   for (int i = 0; i < warmup; ++i) {

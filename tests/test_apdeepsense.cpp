@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "common/precision.h"
 #include "common/rng.h"
 #include "stats/running_stats.h"
 #include "tensor/ops.h"
@@ -127,16 +128,25 @@ TEST(ApDeepSense, PropagateOneMatchesBatch) {
 }
 
 TEST(ApDeepSense, RecordingReturnsPerLayerDistributions) {
+  // Recording always runs the f64 pass, whatever the global precision:
+  // its last layer is bit-equal to an explicit f64 propagate.
+  struct RestorePrecision {
+    ~RestorePrecision() { clear_global_precision(); }
+  } restore;
+  set_global_precision(Precision::kF32);
   Rng rng(7);
   const Mlp mlp = random_mlp({4, 7, 5, 3}, Activation::kRelu, 0.9, rng);
   const ApDeepSense apd(mlp);
+  const MeanVar input = MeanVar::point(Matrix(1, 4, 0.5));
   std::vector<MeanVar> layers;
-  const MeanVar out =
-      apd.propagate_recording(MeanVar::point(Matrix(1, 4, 0.5)), layers);
+  const MeanVar out = apd.propagate_recording(input, layers);
+  const MeanVar f64 = apd.propagate(input, Precision::kF64);
   ASSERT_EQ(layers.size(), 3u);
   EXPECT_EQ(layers[0].dim(), 7u);
   EXPECT_EQ(layers[1].dim(), 5u);
-  EXPECT_LT(max_abs_diff(layers[2].mean, out.mean), 1e-15);
+  EXPECT_EQ(layers[2].mean, f64.mean);
+  EXPECT_EQ(layers[2].var, f64.var);
+  EXPECT_EQ(out.mean, f64.mean);
   // ReLU outputs are non-negative; so must be their approximated means.
   for (double v : layers[0].mean.flat()) EXPECT_GE(v, -1e-12);
 }

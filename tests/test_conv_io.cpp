@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "temp_dir.h"
 #include "tensor/ops.h"
@@ -70,6 +74,73 @@ TEST_F(ConvIoTest, MissingAndTruncatedFilesThrow) {
   out << data;
   out.close();
   EXPECT_THROW(load_conv_net(path("half.apdscnv")), IoError);
+}
+
+// Saves `net` (save_conv_net writes whatever it is given, as a corrupted
+// write would leave it) and expects load_conv_net to reject the file with
+// an IoError whose message contains `expect`.
+void expect_load_rejects(const ConvNet& net, const std::string& file,
+                         const std::string& expect) {
+  save_conv_net(net, file);
+  try {
+    (void)load_conv_net(file);
+    ADD_FAILURE() << "load_conv_net accepted " << file;
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find(expect), std::string::npos)
+        << e.what();
+  }
+}
+
+/// make_net's layers with one edit applied before the net is assembled.
+template <typename Edit>
+ConvNet edited_net(std::uint64_t seed, Edit&& edit) {
+  Rng rng(seed);
+  const ConvNet net = make_net(rng);
+  std::vector<Conv1dLayer> convs{net.conv(0), net.conv(1)};
+  Mlp head = net.head();
+  edit(convs, head);
+  return ConvNet(net.input_len(), net.input_channels(), std::move(convs),
+                 std::move(head));
+}
+
+TEST_F(ConvIoTest, HeadKeepProbOutsideUnitIntervalRejected) {
+  for (const double keep : {2.0, 0.0, std::nan("")}) {
+    SCOPED_TRACE(keep);
+    const ConvNet net = edited_net(4, [&](auto&, Mlp& head) {
+      head.mutable_layer(1).keep_prob = keep;
+    });
+    expect_load_rejects(net, path("kp.apdscnv"), "head layer 1 keep_prob");
+  }
+  const ConvNet boundary = edited_net(4, [](auto&, Mlp& head) {
+    head.mutable_layer(1).keep_prob = 1.0;
+  });
+  save_conv_net(boundary, path("kp1.apdscnv"));
+  EXPECT_EQ(load_conv_net(path("kp1.apdscnv")).head().layer(1).keep_prob,
+            1.0);
+}
+
+TEST_F(ConvIoTest, NonFiniteParametersRejected) {
+  const double inf = std::numeric_limits<double>::infinity();
+  expect_load_rejects(
+      edited_net(5, [](std::vector<Conv1dLayer>& convs, Mlp&) {
+        convs[1].weight(2, 1) = std::nan("");
+      }),
+      path("nan_cw.apdscnv"), "conv layer 1 has a non-finite weight");
+  expect_load_rejects(
+      edited_net(6, [&](std::vector<Conv1dLayer>& convs, Mlp&) {
+        convs[0].bias(0, 2) = -inf;
+      }),
+      path("inf_cb.apdscnv"), "conv layer 0 has a non-finite bias");
+  expect_load_rejects(edited_net(7, [&](auto&, Mlp& head) {
+                        head.mutable_layer(0).weight(3, 1) = inf;
+                      }),
+                      path("inf_hw.apdscnv"),
+                      "head layer 0 has a non-finite weight");
+  expect_load_rejects(edited_net(8, [](auto&, Mlp& head) {
+                        head.mutable_layer(1).bias(0, 0) = std::nan("");
+                      }),
+                      path("nan_hb.apdscnv"),
+                      "head layer 1 has a non-finite bias");
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // InferenceSession and SessionRegistry: the zero-alloc steady-state
-// contract (the whole point of planned arenas), bit-identity against the
-// legacy ApDeepSense::propagate entry points, arena replanning/trim, and
-// the registry's LRU/budget/eviction behavior.
+// contract (the whole point of planned arenas), bit-identity between a
+// standalone session and the ApDeepSense/ApdEstimator facades over one,
+// layer recording, arena replanning/trim, and the registry's
+// LRU/budget/eviction behavior.
 #include "core/inference_session.h"
 
 #include <gtest/gtest.h>
@@ -67,10 +68,10 @@ TEST(InferenceSession, ShapesAndMetadataMatchTheNetwork) {
   EXPECT_EQ(session.propagate_count(), 1u);
 }
 
-// Bit-identity with the legacy path is by construction (both run the same
-// raw moment_*_into kernels on identically packed weights), and this test
-// pins it: a session must be a pure refactor of ApDeepSense::propagate,
-// not a numerically-adjacent reimplementation.
+// ApDeepSense::propagate is the long-standing public entry point; it now
+// forwards to the propagator's own session, and this test pins that a
+// plain ApDeepSense (no estimator around it) still gives exactly what a
+// standalone session gives, at every precision.
 TEST(InferenceSession, BitIdenticalToLegacyPropagateAcrossPrecisions) {
   Rng rng(29);
   const Mlp mlp = random_mlp({10, 24, 24, 4}, Activation::kTanh, 0.85, rng);
@@ -83,29 +84,31 @@ TEST(InferenceSession, BitIdenticalToLegacyPropagateAcrossPrecisions) {
     SCOPED_TRACE(precision_name(precision));
     SessionConfig cfg;
     cfg.precision = precision;
-    cfg.saturating_pieces = apd.config().saturating_pieces;
     const InferenceSession session(mlp, cfg);
 
-    const MeanVar legacy = apd.propagate(input, precision);
+    const MeanVar facade = apd.propagate(input, precision);
     MeanVar out;
     session.propagate(input, out);
-    ASSERT_EQ(out.batch(), legacy.batch());
-    ASSERT_EQ(out.dim(), legacy.dim());
+    ASSERT_EQ(out.batch(), facade.batch());
+    ASSERT_EQ(out.dim(), facade.dim());
     for (std::size_t i = 0; i < out.batch(); ++i)
       for (std::size_t j = 0; j < out.dim(); ++j) {
-        EXPECT_EQ(out.mean(i, j), legacy.mean(i, j)) << i << "," << j;
-        EXPECT_EQ(out.var(i, j), legacy.var(i, j)) << i << "," << j;
+        EXPECT_EQ(out.mean(i, j), facade.mean(i, j)) << i << "," << j;
+        EXPECT_EQ(out.var(i, j), facade.var(i, j)) << i << "," << j;
       }
   }
 }
 
-// An estimator builds its sessions from its propagator's surrogates rather
-// than fitting again; the result must not differ from a session that fits
-// its own.
+// ApDeepSense and ApdEstimator are facades: every propagate runs through
+// the propagator's lazily built session at that precision, built from the
+// propagator's surrogates instead of a fresh fit. A standalone session that
+// fits its own surrogates must agree with both bit for bit, and estimator
+// and propagator must share one session (one weight pack) per precision.
 TEST(InferenceSession, EstimatorSessionBitIdenticalToStandaloneSession) {
   Rng rng(31);
   const Mlp mlp = random_mlp({10, 24, 24, 4}, Activation::kTanh, 0.85, rng);
   const ApdEstimator estimator(mlp);
+  const ApDeepSense& apd = estimator.propagator();
   const MeanVar input = MeanVar::point(random_matrix(7, 10, rng));
 
   for (const Precision precision :
@@ -117,17 +120,50 @@ TEST(InferenceSession, EstimatorSessionBitIdenticalToStandaloneSession) {
     const std::shared_ptr<InferenceSession> owned =
         estimator.session(precision);
     ASSERT_EQ(owned->precision(), precision);
+    EXPECT_EQ(owned.get(), apd.session(precision).get());
 
     MeanVar want, got;
     standalone.propagate(input, want);
     owned->propagate(input, got);
+    const MeanVar facade = apd.propagate(input, precision);
     ASSERT_EQ(got.batch(), want.batch());
     ASSERT_EQ(got.dim(), want.dim());
+    ASSERT_EQ(facade.batch(), want.batch());
+    ASSERT_EQ(facade.dim(), want.dim());
     for (std::size_t i = 0; i < got.batch(); ++i)
       for (std::size_t j = 0; j < got.dim(); ++j) {
         EXPECT_EQ(got.mean(i, j), want.mean(i, j)) << i << "," << j;
         EXPECT_EQ(got.var(i, j), want.var(i, j)) << i << "," << j;
+        EXPECT_EQ(facade.mean(i, j), want.mean(i, j)) << i << "," << j;
+        EXPECT_EQ(facade.var(i, j), want.var(i, j)) << i << "," << j;
       }
+  }
+}
+
+// Layer recording is the f64 validation surface: the recorded last layer is
+// the propagate output itself, and asking an f32 or i8 session to record
+// fails instead of silently recording something else.
+TEST(InferenceSession, LayerRecordingIsF64Only) {
+  Rng rng(37);
+  const Mlp mlp = random_mlp({6, 12, 9, 3}, Activation::kTanh, 0.9, rng);
+  const MeanVar input = MeanVar::point(random_matrix(4, 6, rng));
+
+  const InferenceSession f64(mlp);
+  MeanVar out;
+  std::vector<MeanVar> layers;
+  f64.propagate(input, out, &layers);
+  ASSERT_EQ(layers.size(), 3u);
+  EXPECT_EQ(layers[0].dim(), 12u);
+  EXPECT_EQ(layers[1].dim(), 9u);
+  EXPECT_EQ(layers[2].mean, out.mean);
+  EXPECT_EQ(layers[2].var, out.var);
+
+  for (const Precision precision : {Precision::kF32, Precision::kI8}) {
+    SCOPED_TRACE(precision_name(precision));
+    SessionConfig cfg;
+    cfg.precision = precision;
+    const InferenceSession session(mlp, cfg);
+    EXPECT_THROW(session.propagate(input, out, &layers), InvalidArgument);
   }
 }
 

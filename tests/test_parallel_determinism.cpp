@@ -5,11 +5,14 @@
 // These tests pin that contract by diffing --threads 4 against --threads 1.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <thread>
 #include <vector>
 
 #include "conv/conv_apdeepsense.h"
 #include "core/apdeepsense.h"
+#include "core/inference_session.h"
 #include "core/moment_activation.h"
 #include "platform/thread_pool.h"
 #include "tensor/gemm.h"
@@ -95,6 +98,46 @@ TEST(ParallelDeterminism, ApDeepSensePropagateBitIdentical) {
   const auto parallel = with_threads(4, run);
   EXPECT_EQ(max_abs_diff(serial.mean, parallel.mean), 0.0);
   EXPECT_EQ(max_abs_diff(serial.var, parallel.var), 0.0);
+}
+
+// ApDeepSense builds each precision's session lazily under a mutex. Eight
+// threads racing on a fresh propagator must end up sharing one session per
+// precision (every call counted on it) and get the serial run's bits.
+TEST(ParallelDeterminism, ConcurrentFirstUseSharesOneSessionPerPrecision) {
+  Rng rng(4);
+  const Mlp mlp = wide_net(Activation::kTanh, 0.9, rng);
+  const MeanVar input = MeanVar::point(random_matrix(6, 16, rng));
+  constexpr std::size_t kThreads = 8;
+  constexpr std::uint64_t kCallsPerThread = 3;
+
+  for (const Precision precision :
+       {Precision::kF64, Precision::kF32, Precision::kI8}) {
+    SCOPED_TRACE(precision_name(precision));
+    const MeanVar serial = ApDeepSense(mlp).propagate(input, precision);
+
+    const ApDeepSense apd(mlp);
+    std::vector<MeanVar> outs(kThreads);
+    std::vector<const InferenceSession*> seen(kThreads, nullptr);
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t)
+      threads.emplace_back([&, t] {
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        for (std::uint64_t c = 0; c < kCallsPerThread; ++c)
+          outs[t] = apd.propagate(input, precision);
+        seen[t] = apd.session(precision).get();
+      });
+    go.store(true, std::memory_order_release);
+    for (std::thread& th : threads) th.join();
+
+    const InferenceSession* session = apd.session(precision).get();
+    EXPECT_EQ(session->propagate_count(), kThreads * kCallsPerThread);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(seen[t], session) << "thread " << t;
+      EXPECT_EQ(outs[t].mean, serial.mean) << "thread " << t;
+      EXPECT_EQ(outs[t].var, serial.var) << "thread " << t;
+    }
+  }
 }
 
 TEST(ParallelDeterminism, F32KernelsBitIdentical) {

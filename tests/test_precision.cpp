@@ -14,6 +14,8 @@
 #include "common/precision.h"
 #include "common/rng.h"
 #include "core/apdeepsense.h"
+#include "core/moment_activation.h"
+#include "core/moment_linear.h"
 #include "eval/experiment.h"
 #include "tensor/gemm.h"
 #include "temp_dir.h"

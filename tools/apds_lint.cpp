@@ -413,7 +413,8 @@ bool is_perf_syscall_sanctioned(const std::string& rel) {
 }
 
 /// The single TU sanctioned to own thread_local state on the hot path: the
-/// arena layer (per-thread legacy scratch + the session-arena cache).
+/// arena layer (per-thread moment_linear scratch + the session-arena
+/// cache).
 bool is_thread_local_sanctioned(const std::string& rel) {
   return has_suffix(rel, "src/core/arena.cpp");
 }
@@ -1416,8 +1417,9 @@ bool alloc_func_allowlisted(const std::string& bare) {
       // MeanVar/GaussianVec::point — by-value point-distribution
       // constructors used by the allocating conveniences.
       "point",
-      // Load-time PWL packing; sessions hoist it, the legacy convenience
-      // overload pays it per call by documented design.
+      // Load-time PWL packing; sessions hoist it, and its one per-call
+      // user is the f32 moment_activation_batch convenience overload
+      // (moment_activation_f32.cpp), by documented design.
       "pack_pwl",
       // One-time kernel dispatch resolution (static init + env parse).
       "kernel_ops",
