@@ -111,6 +111,13 @@ ConvNet load_conv_net(const std::string& path) {
     layer.stride = read_u64(is);
     layer.act = parse_activation(read_string(is));
     layer.channel_keep_prob = read_f64(is);
+    // (0, 1], as for the head below; rejected here so a corrupt file is an
+    // IoError naming the layer, not Conv1dLayer::check's InvalidArgument.
+    if (!(layer.channel_keep_prob > 0.0 && layer.channel_keep_prob <= 1.0))
+      throw IoError("conv net file: conv layer " + std::to_string(l) +
+                    " channel_keep_prob " +
+                    std::to_string(layer.channel_keep_prob) +
+                    " outside (0, 1]");
     layer.weight = read_matrix(is);
     check_finite(layer.weight, "conv net file: conv layer", l, "weight");
     layer.bias = read_matrix(is);

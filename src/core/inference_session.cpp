@@ -56,18 +56,14 @@ void InferenceSession::build(const Mlp& mlp) {
     act_names_.push_back(activation_name(layer.act));
   }
 
-  // W∘W is squared in f64 and then narrowed: one rounding, not two.
+  // W∘W is squared in f64 and then narrowed: one rounding, not two. The
+  // f32 packs go straight into the column panels the tile kernel reads, so
+  // no row-major f32 copy is kept.
   switch (config_.precision) {
     case Precision::kF32:
-      w32_.reserve(layers);
-      wsq32_.reserve(layers);
-      b32_.reserve(layers);
-      for (std::size_t l = 0; l < layers; ++l) {
-        const DenseLayer& layer = mlp.layer(l);
-        w32_.push_back(to_f32(layer.weight));
-        wsq32_.push_back(to_f32(square(layer.weight)));
-        b32_.push_back(to_f32(layer.bias));
-      }
+      panels32_.reserve(layers);
+      for (std::size_t l = 0; l < layers; ++l)
+        panels32_.push_back(pack_dense_layer(mlp.layer(l)));
       break;
     case Precision::kI8: {
       for (std::size_t l = 0; l + 1 < layers; ++l) {
@@ -75,10 +71,7 @@ void InferenceSession::build(const Mlp& mlp) {
                        "InferenceSession(i8): inner dim overflows i32");
         qlayers_.push_back(quantize_dense_layer(mlp.layer(l)));
       }
-      const DenseLayer& last = mlp.layer(layers - 1);
-      final_w32_ = to_f32(last.weight);
-      final_wsq32_ = to_f32(square(last.weight));
-      final_b32_ = to_f32(last.bias);
+      panels32_.push_back(pack_dense_layer(mlp.layer(layers - 1)));
       break;
     }
     default:
@@ -105,15 +98,11 @@ void InferenceSession::build(const Mlp& mlp) {
   for (const Matrix& m : w64_) weight_bytes_ += matrix_bytes(m.size(), 8);
   for (const Matrix& m : wsq64_) weight_bytes_ += matrix_bytes(m.size(), 8);
   for (const Matrix& m : b64_) weight_bytes_ += matrix_bytes(m.size(), 8);
-  for (const MatrixF& m : w32_) weight_bytes_ += matrix_bytes(m.size(), 4);
-  for (const MatrixF& m : wsq32_) weight_bytes_ += matrix_bytes(m.size(), 4);
-  for (const MatrixF& m : b32_) weight_bytes_ += matrix_bytes(m.size(), 4);
+  for (const PackedDenseLayer& p : panels32_) weight_bytes_ += p.bytes();
   for (const QuantizedDenseLayer& q : qlayers_)
     weight_bytes_ += q.weight.data.size() + q.weight_sq.data.size() +
                      (q.weight.scale.size() + q.weight_sq.scale.size()) * 4 +
                      matrix_bytes(q.bias.size(), 4);
-  weight_bytes_ += matrix_bytes(
-      final_w32_.size() + final_wsq32_.size() + final_b32_.size(), 4);
 
   // Eagerly plan + back the arena for this thread when the caller declared
   // a batch capacity up front; first propagate is then already steady.
@@ -345,8 +334,7 @@ void InferenceSession::propagate_f32(const MeanVar& input, MeanVar& out,
                     ",\"in\":" + std::to_string(dims_[l]) +
                     ",\"out\":" + std::to_string(dims_[l + 1]) +
                     ",\"act\":\"" + act_names_[l] + "\"");
-    moment_linear_act_into(cm, cv, batch, dims_[l], w32_[l].data(),
-                           wsq32_[l].data(), b32_[l].data(), dims_[l + 1],
+    moment_linear_act_into(cm, cv, batch, dims_[l], panels32_[l],
                            keep_probs_[l], surrogates_[l],
                            pwl_packs_[l].view(), scratch, om, ov);
     APDS_MOMENT_CONTRACT_BUF(om, ov, batch * dims_[l + 1], dims_[l + 1],
@@ -399,9 +387,8 @@ void InferenceSession::propagate_i8(const MeanVar& input, MeanVar& out,
                              keep_probs_[l], surrogates_[l],
                              pwl_packs_[l].view(), scratch, om, ov);
     } else {
-      moment_linear_act_into(cm, cv, batch, dims_[l], final_w32_.data(),
-                             final_wsq32_.data(), final_b32_.data(),
-                             dims_[l + 1], keep_probs_[l], surrogates_[l],
+      moment_linear_act_into(cm, cv, batch, dims_[l], panels32_.back(),
+                             keep_probs_[l], surrogates_[l],
                              pwl_packs_[l].view(), scratch, om, ov);
     }
     APDS_MOMENT_CONTRACT_BUF(om, ov, batch * dims_[l + 1], dims_[l + 1],

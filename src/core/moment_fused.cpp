@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "core/arena.h"
 #include "core/moment_activation.h"
 #include "core/moment_contract.h"
 #include "obs/trace.h"
@@ -85,7 +86,41 @@ void fused_tiles(float* out_mean, float* out_var, const PiecewiseLinear& f,
       });
 }
 
+/// fused_tiles over `width` output columns of panel-packed W / W∘W (see
+/// kernel_panel_floats): the panels start at wp / wsqp, the bias at `bias`.
+void fused_panels(const float* sm, const float* vi, const float* wp,
+                  const float* wsqp, const float* bias, std::size_t batch,
+                  std::size_t kdim, std::size_t width,
+                  const PiecewiseLinear& f, const PwlView& view,
+                  const KernelOps& ops, float* out_mean, float* out_var) {
+  fused_tiles(out_mean, out_var, f, view, ops, batch, width, kdim,
+              [&](std::size_t r0, std::size_t r1, std::size_t j0,
+                  std::size_t j1, float* tmean, float* tvar) {
+                ops.moment_tile_f32(sm, vi, wp, wsqp, bias, kdim, r0, r1, j0,
+                                    j1, tmean, tvar);
+              });
+}
+
 }  // namespace
+
+PackedDenseLayer pack_dense_layer(const DenseLayer& layer) {
+  const std::size_t kdim = layer.in_dim();
+  PackedDenseLayer p;
+  p.out_dim = layer.out_dim();
+  const std::size_t rows =
+      kernel_panel_floats(kdim, p.out_dim) / kKernelPanelCols;
+  p.weight.resize(rows);
+  p.weight_sq.resize(rows);
+  // W∘W is squared in f64, then narrowed, then packed: one rounding. The
+  // row-major f32 copies live only until their panels are written.
+  const KernelOps& ops = kernel_ops();
+  ops.pack_panels_f32(to_f32(layer.weight).data(), p.out_dim, kdim,
+                      p.out_dim, p.weight.data()->lane);
+  ops.pack_panels_f32(to_f32(square(layer.weight)).data(), p.out_dim, kdim,
+                      p.out_dim, p.weight_sq.data()->lane);
+  p.bias = to_f32(layer.bias);
+  return p;
+}
 
 QuantizedDenseLayer quantize_dense_layer(const DenseLayer& layer) {
   QuantizedDenseLayer q;
@@ -104,6 +139,24 @@ QuantizedDenseLayer quantize_dense_layer(const DenseLayer& layer) {
 
 void moment_linear_act_into(const float* in_mean, const float* in_var,
                             std::size_t batch, std::size_t kdim,
+                            const PackedDenseLayer& layer, double keep_prob,
+                            const PiecewiseLinear& f, const PwlView& view,
+                            const FusedScratchView& scratch, float* out_mean,
+                            float* out_var) {
+  APDS_TRACE_SCOPE("core.moment_linear_act");
+  const KernelOps& ops = kernel_ops();
+  prep_inputs(in_mean, in_var, batch * kdim, keep_prob, scratch.sm,
+              scratch.vi, ops);
+  const std::size_t n = layer.out_dim;
+  fused_panels(scratch.sm, scratch.vi, layer.weight_panels(),
+               layer.weight_sq_panels(), layer.bias.data(), batch, kdim, n, f,
+               view, ops, out_mean, out_var);
+  APDS_MOMENT_CONTRACT_BUF(out_mean, out_var, batch * n, n,
+                           "core.moment_linear_act output");
+}
+
+void moment_linear_act_into(const float* in_mean, const float* in_var,
+                            std::size_t batch, std::size_t kdim,
                             const float* weight, const float* weight_sq,
                             const float* bias, std::size_t n,
                             double keep_prob, const PiecewiseLinear& f,
@@ -114,14 +167,29 @@ void moment_linear_act_into(const float* in_mean, const float* in_var,
   const KernelOps& ops = kernel_ops();
   prep_inputs(in_mean, in_var, batch * kdim, keep_prob, scratch.sm,
               scratch.vi, ops);
-  const float* sm = scratch.sm;
-  const float* vi = scratch.vi;
-  fused_tiles(out_mean, out_var, f, view, ops, batch, n, kdim,
-              [&](std::size_t r0, std::size_t r1, std::size_t j0,
-                  std::size_t j1, float* tmean, float* tvar) {
-                ops.moment_tile_f32(sm, vi, weight, weight_sq, bias, kdim, n,
-                                    r0, r1, j0, j1, tmean, tvar);
-              });
+  // One column tile at a time: pack its W / W∘W panels, run the tile grid
+  // on them, copy the spill into place. The tile's panels and spill stay
+  // L2-resident while every row block reuses them, so the per-call packing
+  // costs little more than one pass over the row-major weights.
+  const std::size_t panel = kernel_panel_floats(kdim, kTile);
+  float* wp = reinterpret_cast<float*>(thread_scratch().require(
+      (2 * panel + 2 * batch * kTile) * sizeof(float)));
+  float* wsqp = wp + panel;
+  float* tmean = wsqp + panel;
+  float* tvar = tmean + batch * kTile;
+  for (std::size_t c0 = 0; c0 < n; c0 += kTile) {
+    const std::size_t width = std::min(kTile, n - c0);
+    ops.pack_panels_f32(weight + c0, n, kdim, width, wp);
+    ops.pack_panels_f32(weight_sq + c0, n, kdim, width, wsqp);
+    fused_panels(scratch.sm, scratch.vi, wp, wsqp, bias + c0, batch, kdim,
+                 width, f, view, ops, tmean, tvar);
+    for (std::size_t r = 0; r < batch; ++r) {
+      std::copy(tmean + r * width, tmean + (r + 1) * width,
+                out_mean + r * n + c0);
+      std::copy(tvar + r * width, tvar + (r + 1) * width,
+                out_var + r * n + c0);
+    }
+  }
   APDS_MOMENT_CONTRACT_BUF(out_mean, out_var, batch * n, n,
                            "core.moment_linear_act output");
 }

@@ -20,7 +20,7 @@ constexpr std::size_t kMinFlopsPerChunk = 1 << 16;
 // C[i0:i1, j0:j1] (+)= A[i0:i1, :] B[:, j0:j1]. The k-blocked accumulation
 // order per output element is identical for every (i, j) partition, so any
 // tiling of the output produces bit-identical results. The f64 reference
-// keeps this TU's default flags; the f32 twin lives in the dispatched
+// keeps this TU's default FP flags; the f32 twin lives in the dispatched
 // kernel tiers (tensor/kernels/) and is selected per CPU at runtime.
 template <typename T>
 void gemm_tile(const T* ad, const T* bd, T* cd, std::size_t k, std::size_t n,

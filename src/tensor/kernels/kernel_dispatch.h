@@ -16,13 +16,13 @@
 // Forcing a backend the CPU cannot execute logs a warning and clamps to
 // the best supported one — an override must never SIGILL a device.
 //
-// The f64 reference path does NOT dispatch: it keeps default flags and one
-// TU so its object code stays bit-identical across releases. Only the f32
-// fast path and the i8 quantized path route through this table, and both
-// keep the per-output-element accumulation order of the serial loops, so
-// results are bit-identical across thread counts *within* a backend
-// (across backends they agree to documented tolerances — FMA contraction
-// and vector shuffles change rounding, not math).
+// The f64 reference path does NOT dispatch: it keeps the default FP flags
+// and one TU so its arithmetic stays bit-identical across releases. Only
+// the f32 fast path and the i8 quantized path route through this table,
+// and both keep the per-output-element accumulation order of the serial
+// loops, so results are bit-identical across thread counts *within* a
+// backend (across backends they agree to documented tolerances — FMA
+// contraction and vector shuffles change rounding, not math).
 #pragma once
 
 #include <cstddef>
@@ -70,11 +70,30 @@ KernelBackend global_kernel_backend();
 inline constexpr std::size_t kKernelMomentTile = 128;
 
 /// Row-block height of the fused moment->activation kernels. A moment tile
-/// accumulates a (rows x columns) block so each streamed W/Wsq slice is
+/// accumulates a (rows x columns) block so each streamed W/Wsq panel is
 /// reused across every row of the block — per-row tiles would re-stream
 /// the full weight columns once per batch row and lose to the unfused
 /// GEMM path on memory bandwidth.
 inline constexpr std::size_t kKernelMomentRows = 16;
+
+/// Column width of one packed f32 weight panel (see kernel_panel_floats).
+/// One layout serves every tier — 16 floats is one AVX-512 register, two
+/// AVX2 registers, four SSE2 registers — so a pack built at load stays
+/// valid whichever tier kernel_ops() binds later.
+inline constexpr std::size_t kKernelPanelCols = 16;
+static_assert(kKernelMomentTile % kKernelPanelCols == 0,
+              "column tiles must start on a panel boundary");
+
+/// Floats in the column-panel packing of a kdim x n row-major matrix:
+/// ceil(n / kKernelPanelCols) panels, each kdim rows of kKernelPanelCols
+/// contiguous floats, laid out [panel][k][lane]; the last panel's lanes
+/// past n are zero. Element (k, j) lives at
+///   (j / kKernelPanelCols) * kdim * kKernelPanelCols
+///   + k * kKernelPanelCols + j % kKernelPanelCols.
+constexpr std::size_t kernel_panel_floats(std::size_t kdim, std::size_t n) {
+  return (n + kKernelPanelCols - 1) / kKernelPanelCols * kdim *
+         kKernelPanelCols;
+}
 
 /// Non-owning view of a piece-wise linear surrogate in kernel layout:
 /// per-piece upper boundaries (double, last may be +inf) plus f32 slopes
@@ -144,23 +163,36 @@ struct KernelOps {
   bool (*act_tile_f32)(const PwlView& f, float* m, float* v, std::size_t n,
                        float det_threshold, unsigned char* det);
 
+  /// Pack the kdim x n block at `w` (row-major, row stride ldw >= n) into
+  /// `panels` in the column-panel layout of kernel_panel_floats, last
+  /// panel zero-padded. A pure copy: every tier writes the same bytes, so a
+  /// pack built under one tier serves any other.
+  void (*pack_panels_f32)(const float* w, std::size_t ldw, std::size_t kdim,
+                          std::size_t n, float* panels);
+
   /// One row-block x column-tile of the fused moment_linear: for r in
   /// [r0, r1), j in [j0, j1),
   ///   tmean[(r-r0)(j1-j0) + j-j0] = dot(sm[r,:], W[:,j]) + bias[j]
   ///   tvar [(r-r0)(j1-j0) + j-j0] = max(0, dot(vi[r,:], Wsq[:,j]))
   /// sm/vi are the full prepped input matrices (batch x kdim row-major);
-  /// W/Wsq are kdim x n row-major; r1 - r0 <= kKernelMomentRows and
-  /// j1 - j0 <= kKernelMomentTile. k-blocked with the streamed W/Wsq
-  /// slices reused across the block's rows; per-element accumulation stays
-  /// k-ascending, so results are partition-invariant. The caller runs the
-  /// activation tile on (tmean, tvar) while they are still hot and only
-  /// then spills to the output matrix — the pre-activation moment matrices
-  /// never exist in memory.
-  void (*moment_tile_f32)(const float* sm, const float* vi, const float* w,
-                          const float* wsq, const float* bias,
-                          std::size_t kdim, std::size_t n, std::size_t r0,
-                          std::size_t r1, std::size_t j0, std::size_t j1,
-                          float* tmean, float* tvar);
+  /// wp/wsqp are W and W∘W in the column-panel layout of
+  /// kernel_panel_floats (packed once at session load). j0 is a multiple of
+  /// kKernelPanelCols, r1 - r0 <= kKernelMomentRows and
+  /// j1 - j0 <= kKernelMomentTile. A register-blocked micro-kernel keeps a
+  /// (tier-chosen rows) x kKernelPanelCols accumulator block in registers
+  /// across the whole k loop; each element's sum still runs over k in
+  /// ascending order with the tier TU's FMA contraction, so the result is
+  /// bit-identical to gemm_tile_f32 on the row-major W/W∘W (plus bias and
+  /// the clamp) and partition-invariant. Zero-padded panel lanes are
+  /// computed but never stored. The caller runs the activation tile on
+  /// (tmean, tvar) while they are still hot and only then spills to the
+  /// output matrix — the pre-activation moment matrices never exist in
+  /// memory.
+  void (*moment_tile_f32)(const float* sm, const float* vi, const float* wp,
+                          const float* wsqp, const float* bias,
+                          std::size_t kdim, std::size_t r0, std::size_t r1,
+                          std::size_t j0, std::size_t j1, float* tmean,
+                          float* tvar);
 
   /// i8 twin of moment_tile_f32: qsm/qvi are the dynamically quantized
   /// input matrices (symmetric, per-row scales sm_scale/vi_scale indexed

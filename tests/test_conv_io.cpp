@@ -119,6 +119,40 @@ TEST_F(ConvIoTest, HeadKeepProbOutsideUnitIntervalRejected) {
             1.0);
 }
 
+TEST_F(ConvIoTest, ChannelKeepProbOutsideUnitIntervalRejected) {
+  // ConvNet's constructor already refuses such a layer, so the corrupt
+  // value is patched into a saved file: make_net's conv layer 1 keeps 0.8,
+  // and those eight bytes occur once in the file.
+  Rng rng(9);
+  save_conv_net(make_net(rng), path("good.apdscnv"));
+  std::ifstream in(path("good.apdscnv"), std::ios::binary);
+  const std::string good((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const double original = 0.8;
+  const std::string needle(reinterpret_cast<const char*>(&original),
+                           sizeof(original));
+  const std::size_t at = good.find(needle);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(good.find(needle, at + 1), std::string::npos);
+  for (const double keep : {2.0, 0.0, -0.5, std::nan("")}) {
+    SCOPED_TRACE(keep);
+    std::string bad = good;
+    bad.replace(at, sizeof(keep), reinterpret_cast<const char*>(&keep),
+                sizeof(keep));
+    std::ofstream out(path("ckp.apdscnv"), std::ios::binary);
+    out << bad;
+    out.close();
+    try {
+      (void)load_conv_net(path("ckp.apdscnv"));
+      ADD_FAILURE() << "load_conv_net accepted channel_keep_prob " << keep;
+    } catch (const IoError& e) {
+      EXPECT_NE(std::string(e.what()).find("conv layer 1 channel_keep_prob"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST_F(ConvIoTest, NonFiniteParametersRejected) {
   const double inf = std::numeric_limits<double>::infinity();
   expect_load_rejects(

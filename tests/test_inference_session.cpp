@@ -68,6 +68,23 @@ TEST(InferenceSession, ShapesAndMetadataMatchTheNetwork) {
   EXPECT_EQ(session.propagate_count(), 1u);
 }
 
+TEST(InferenceSession, F32WeightBytesAreThePaddedPanelsOnly) {
+  // An f32 session keeps W and W∘W only as zero-padded column panels (plus
+  // the f32 bias): no row-major copy survives packing. Widths 50 and 6 are
+  // not multiples of the panel width, so the padding is counted too.
+  Rng rng(12);
+  const std::vector<std::size_t> dims = {7, 50, 33, 6};
+  const Mlp mlp = random_mlp(dims, Activation::kRelu, 0.9, rng);
+  SessionConfig cfg;
+  cfg.precision = Precision::kF32;
+  const InferenceSession session(mlp, cfg);
+  std::size_t expected = 0;
+  for (std::size_t l = 0; l + 1 < dims.size(); ++l)
+    expected += (2 * kernel_panel_floats(dims[l], dims[l + 1]) +
+                 dims[l + 1]) * sizeof(float);
+  EXPECT_EQ(session.weight_bytes(), expected);
+}
+
 // ApDeepSense::propagate is the long-standing public entry point; it now
 // forwards to the propagator's own session, and this test pins that a
 // plain ApDeepSense (no estimator around it) still gives exactly what a

@@ -10,8 +10,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -130,6 +134,7 @@ TEST(KernelDispatch, TablesAreFullyPopulated) {
     EXPECT_NE(ops.square_f32, nullptr);
     EXPECT_NE(ops.moment_prep_f32, nullptr);
     EXPECT_NE(ops.act_tile_f32, nullptr);
+    EXPECT_NE(ops.pack_panels_f32, nullptr);
     EXPECT_NE(ops.moment_tile_f32, nullptr);
     EXPECT_NE(ops.moment_tile_i8, nullptr);
   }
@@ -263,7 +268,127 @@ TEST(KernelAgreement, ActivationTileFlagsDeterministicLanes) {
   }
 }
 
+TEST(KernelAgreement, PackedMomentTileBitIdenticalToGemmTile) {
+  // Within one tier, the register-blocked tile over packed panels must
+  // reproduce that tier's gemm_tile_f32 on the row-major W / W∘W — plus
+  // the bias and the max(0, .) clamp — bit for bit: same k-ascending sum
+  // per element, same FMA contraction. n covers panel padding (1, 6, 250)
+  // and exact panels (16, 512, the latter spanning several column tiles);
+  // rows covers the micro-kernel row remainders of every tier; kdim covers
+  // a single term, an odd count and the k-blocking of the reference.
+  Rng rng(48);
+  const std::size_t r0 = 2;  // the tile's rows sit inside a larger batch
+  for (const std::size_t n : {1u, 6u, 16u, 250u, 512u}) {
+    for (const std::size_t rows : {1u, 5u, 16u}) {
+      for (const std::size_t kdim : {1u, 7u, 64u, 250u}) {
+        const std::size_t batch = r0 + rows;
+        // Non-zero inputs (the reference skips exact zeros); vi takes both
+        // signs so the variance clamp is exercised.
+        const MatrixF sm = random_matrix_f32(batch, kdim, rng);
+        const MatrixF vi = random_matrix_f32(batch, kdim, rng);
+        const MatrixF w = random_matrix_f32(kdim, n, rng);
+        const MatrixF bias = random_matrix_f32(1, n, rng);
+        MatrixF wsq(kdim, n);
+        for (std::size_t i = 0; i < w.size(); ++i)
+          wsq.flat()[i] = w.flat()[i] * w.flat()[i];
+        for (const KernelBackend back : supported_backends()) {
+          SCOPED_TRACE(std::string(kernel_backend_name(back)) + " n=" +
+                       std::to_string(n) + " rows=" + std::to_string(rows) +
+                       " kdim=" + std::to_string(kdim));
+          const KernelOps& ops = kernel_ops(back);
+          std::vector<float> wp(kernel_panel_floats(kdim, n), -1.0f);
+          std::vector<float> wsqp(wp.size(), -1.0f);
+          ops.pack_panels_f32(w.data(), n, kdim, n, wp.data());
+          ops.pack_panels_f32(wsq.data(), n, kdim, n, wsqp.data());
+          // One layout for every tier: element (k, j) at its documented
+          // offset, padding lanes zero.
+          std::size_t misplaced = 0;
+          for (std::size_t k = 0; k < kdim; ++k) {
+            for (std::size_t j = 0; j < wp.size() / kdim; ++j) {
+              const std::size_t at = (j / kKernelPanelCols) * kdim *
+                                         kKernelPanelCols +
+                                     k * kKernelPanelCols +
+                                     j % kKernelPanelCols;
+              misplaced += wp[at] != (j < n ? w(k, j) : 0.0f);
+            }
+          }
+          EXPECT_EQ(misplaced, 0u);
+          MatrixF ref_m(batch, n), ref_v(batch, n);
+          ops.gemm_tile_f32(sm.data(), w.data(), ref_m.data(), kdim, n, false,
+                            r0, batch, 0, n);
+          ops.gemm_tile_f32(vi.data(), wsq.data(), ref_v.data(), kdim, n,
+                            false, r0, batch, 0, n);
+          std::size_t mismatches = 0;
+          for (std::size_t j0 = 0; j0 < n; j0 += kKernelMomentTile) {
+            const std::size_t j1 = std::min(n, j0 + kKernelMomentTile);
+            const std::size_t width = j1 - j0;
+            std::vector<float> tm(rows * width), tv(rows * width);
+            ops.moment_tile_f32(sm.data(), vi.data(), wp.data(), wsqp.data(),
+                                bias.data(), kdim, r0, batch, j0, j1,
+                                tm.data(), tv.data());
+            for (std::size_t r = 0; r < rows; ++r) {
+              for (std::size_t j = j0; j < j1; ++j) {
+                const float mean = ref_m(r0 + r, j) + bias.flat()[j];
+                const float v = ref_v(r0 + r, j);
+                const float var = v < 0.0f ? 0.0f : v;
+                const std::size_t t = r * width + (j - j0);
+                mismatches +=
+                    std::bit_cast<std::uint32_t>(tm[t]) !=
+                    std::bit_cast<std::uint32_t>(mean);
+                mismatches += std::bit_cast<std::uint32_t>(tv[t]) !=
+                              std::bit_cast<std::uint32_t>(var);
+              }
+            }
+          }
+          EXPECT_EQ(mismatches, 0u);
+        }
+      }
+    }
+  }
+}
+
 // ---- fused-path agreement through the public API ---------------------------
+
+TEST(KernelAgreement, RowMajorFusedLayerBitIdenticalToPackedLayer) {
+  // The row-major moment_linear_act_into packs into scratch one column
+  // tile at a time; it must give exactly what the panels a session packs
+  // at load give. n = 250 spans two column tiles and pads the last panel;
+  // batch 21 spans two row blocks and leaves a remainder on every tier.
+  struct Cleanup {
+    ~Cleanup() { clear_global_kernel_backend(); }
+  } cleanup;
+  Rng rng(49);
+  const std::size_t batch = 21, kdim = 37, n = 250;
+  DenseLayer layer;
+  layer.weight = Matrix(kdim, n);
+  for (double& v : layer.weight.flat()) v = rng.normal();
+  layer.bias = Matrix(1, n);
+  for (double& v : layer.bias.flat()) v = rng.normal();
+  const PackedDenseLayer packed = pack_dense_layer(layer);
+  const MatrixF w = to_f32(layer.weight);
+  const MatrixF wsq = to_f32(square(layer.weight));
+  const MatrixF bias = to_f32(layer.bias);
+  const MatrixF mean = random_matrix_f32(batch, kdim, rng);
+  MatrixF var = random_matrix_f32(batch, kdim, rng);
+  for (float& v : var.flat()) v = std::fabs(v);
+  const auto f = PiecewiseLinear::fit_tanh(7);
+  const PwlPack pack = pack_pwl(f);
+  std::vector<float> sm(batch * kdim), vi(batch * kdim);
+  FusedScratchView scratch;
+  scratch.sm = sm.data();
+  scratch.vi = vi.data();
+  for (const KernelBackend back : supported_backends()) {
+    set_global_kernel_backend(back);
+    MatrixF pm(batch, n), pv(batch, n), rm(batch, n), rv(batch, n);
+    moment_linear_act_into(mean.data(), var.data(), batch, kdim, packed, 0.9,
+                           f, pack.view(), scratch, pm.data(), pv.data());
+    moment_linear_act_into(mean.data(), var.data(), batch, kdim, w.data(),
+                           wsq.data(), bias.data(), n, 0.9, f, pack.view(),
+                           scratch, rm.data(), rv.data());
+    EXPECT_EQ(max_abs_diff(pm, rm), 0.0) << kernel_backend_name(back);
+    EXPECT_EQ(max_abs_diff(pv, rv), 0.0) << kernel_backend_name(back);
+  }
+}
 
 Mlp small_net(Rng& rng) {
   MlpSpec spec;
