@@ -14,10 +14,9 @@
 // twin row pinned to the single-precision fast path; `apd_propagate_b64`
 // itself follows the ambient --precision/APDS_PRECISION setting so a
 // second run at f32 exercises the flag wiring end to end. The fused
-// moment->activation tile path and the i8 quantized path get their own
-// rows (moment_act_{fused,unfused}_b64_f32, moment_act_fused_b64_i8,
-// apd_propagate_b64_i8) so bench_compare can gate the fusion and
-// quantization speedup floors. All apd_propagate_* rows run through
+// moment->activation tile path gets its own rows
+// (moment_act_{fused,unfused}_b64_f32) so bench_compare can gate the
+// fusion speedup floor. All apd_propagate_* rows run through
 // planned-arena InferenceSessions with a reused output batch, so their
 // `allocs` column is 0 in steady state (bench-smoke gates this via
 // bench_compare --max-allocs apd_propagate_:0); apd_session_b1_f32 times
@@ -374,20 +373,6 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
                              act_out.mean.data(), act_out.var.data());
       benchmark::DoNotOptimize(act_out.mean.data());
     });
-    const QuantizedDenseLayer qdense = quantize_dense_layer(dense);
-    std::vector<std::int8_t> q_sm(batch * kdim), q_vi(batch * kdim);
-    std::vector<float> sm_scale(batch), vi_scale(batch);
-    FusedScratchView q_scratch = scratch;
-    q_scratch.q_sm = q_sm.data();
-    q_scratch.q_vi = q_vi.data();
-    q_scratch.sm_scale = sm_scale.data();
-    q_scratch.vi_scale = vi_scale.data();
-    record("moment_act_fused_b64_i8", [&] {
-      moment_linear_act_into(inputf.mean.data(), inputf.var.data(), batch,
-                             kdim, qdense, 0.9, f, pack.view(), q_scratch,
-                             act_out.mean.data(), act_out.var.data());
-      benchmark::DoNotOptimize(act_out.mean.data());
-    });
   }
   {
     Rng net_rng(5);
@@ -401,7 +386,7 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
     // (bench_compare --max-allocs apd_propagate_:0). Ambient precision on
     // the first row on purpose: a --precision f32 run moves this row (and
     // only this row) to the fast path, exercising the flag wiring end to
-    // end. The *_f32/_i8 rows pin their precision explicitly.
+    // end. The *_f32 rows pin their precision explicitly.
     SessionConfig ambient_cfg;
     ambient_cfg.precision = global_precision();
     ambient_cfg.max_batch = 64;
@@ -416,57 +401,6 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
     const InferenceSession f32_session(mlp, apd.surrogates(), f32_cfg);
     record("apd_propagate_b64_f32", [&] {
       f32_session.propagate(input, out);
-      benchmark::DoNotOptimize(out.mean.data());
-    });
-    // Gemm-based comparator for the quantization floor: the same f32
-    // stack through the unfused moment_linear + activation pair (what
-    // propagate_f32 was before fusion). bench_compare holds the i8
-    // propagate's speedup over THIS row, so the gate measures what
-    // quantization buys against the path it replaces, not against the
-    // already-fused f32 kernels. Buffers and surrogate packs are hoisted
-    // so this row also meets the apd_propagate_ zero-alloc gate.
-    std::vector<MatrixF> wf, w2f, bf;
-    std::vector<PwlPack> packs;
-    std::size_t max_dim = mlp.input_dim();
-    for (std::size_t l = 0; l < mlp.num_layers(); ++l) {
-      const DenseLayer& layer = mlp.layer(l);
-      wf.push_back(to_f32(layer.weight));
-      w2f.push_back(to_f32(square(layer.weight)));
-      bf.push_back(to_f32(layer.bias));
-      packs.push_back(pack_pwl(apd.surrogate(l)));
-      max_dim = std::max(max_dim, layer.out_dim());
-    }
-    const MeanVarF inputf = to_f32(input);
-    const std::size_t batch = x.rows();
-    std::vector<float> slot_m[2], slot_v[2];
-    for (int s = 0; s < 2; ++s) {
-      slot_m[s].assign(batch * max_dim, 0.0f);
-      slot_v[s].assign(batch * max_dim, 0.0f);
-    }
-    std::vector<float> smb(batch * max_dim), vib(batch * max_dim);
-    record("apd_propagate_b64_f32_gemm", [&] {
-      const float* cm = inputf.mean.data();
-      const float* cv = inputf.var.data();
-      for (std::size_t l = 0; l < mlp.num_layers(); ++l) {
-        const DenseLayer& layer = mlp.layer(l);
-        float* om = slot_m[l % 2].data();
-        float* ov = slot_v[l % 2].data();
-        moment_linear_into(cm, cv, batch, layer.in_dim(), wf[l].data(),
-                           w2f[l].data(), bf[l].data(), layer.out_dim(),
-                           layer.keep_prob, smb.data(), vib.data(), om, ov);
-        moment_activation_batch(apd.surrogate(l), packs[l].view(), om, ov,
-                                batch * layer.out_dim());
-        cm = om;
-        cv = ov;
-      }
-      benchmark::DoNotOptimize(cm);
-    });
-    SessionConfig i8_cfg;
-    i8_cfg.precision = Precision::kI8;
-    i8_cfg.max_batch = 64;
-    const InferenceSession i8_session(mlp, apd.surrogates(), i8_cfg);
-    record("apd_propagate_b64_i8", [&] {
-      i8_session.propagate(input, out);
       benchmark::DoNotOptimize(out.mean.data());
     });
     // Batch 1 at f32, the serving configuration: per-call overhead (which

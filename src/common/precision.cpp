@@ -21,11 +21,10 @@ const char* precision_name(Precision p) {
   switch (p) {
     case Precision::kF32:
       return "f32";
-    case Precision::kI8:
-      return "i8";
-    default:
-      return "f64";
+    case Precision::kF64:
+      break;
   }
+  return "f64";
 }
 
 Precision parse_precision(const std::string& name) {
@@ -34,9 +33,8 @@ Precision parse_precision(const std::string& name) {
                  [](unsigned char c) { return std::tolower(c); });
   if (lower == "f32" || lower == "float") return Precision::kF32;
   if (lower == "f64" || lower == "double") return Precision::kF64;
-  if (lower == "i8" || lower == "int8") return Precision::kI8;
   throw InvalidArgument("precision: unknown value '" + name +
-                        "' (want f32|f64|i8)");
+                        "' (want f32|f64)");
 }
 
 void set_global_precision(Precision p) {
@@ -55,7 +53,7 @@ Precision global_precision() {
     try {
       p = parse_precision(env);
     } catch (const InvalidArgument&) {
-      APDS_WARN("APDS_PRECISION='" << env << "' ignored (want f32|f64|i8)");
+      APDS_WARN("APDS_PRECISION='" << env << "' ignored (want f32|f64)");
     }
   }
   // Cache the resolution; a concurrent first call resolves identically.

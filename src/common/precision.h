@@ -1,16 +1,14 @@
 // Process-wide inference precision selection.
 //
-// The moment kernels exist in three widths: the f64 reference path
-// (bit-identical across releases, used by training and all validation),
-// an f32 fast path (packed single-precision weights + vectorized
-// polynomial erf/exp, ~2x the SIMD lanes and half the memory traffic) and
-// an i8 quantized path (per-output-channel symmetric weights, exact i32
-// accumulation, hidden layers only — the final moment head stays f32; see
+// The moment kernels exist in two widths: the f64 reference path
+// (bit-identical across releases, used by training and all validation)
+// and an f32 fast path (packed single-precision weights + vectorized
+// polynomial erf/exp, ~2x the SIMD lanes and half the memory traffic; see
 // docs/PERFORMANCE.md for the measured speedups and error bounds).
 //
 // Resolution precedence mirrors the thread-pool width:
 //   set_global_precision() (the benches' --precision flag lands here)
-//   > the APDS_PRECISION environment variable ("f32" | "f64" | "i8")
+//   > the APDS_PRECISION environment variable ("f32" | "f64")
 //   > Precision::kF64.
 #pragma once
 
@@ -21,14 +19,13 @@ namespace apds {
 enum class Precision {
   kF64 = 0,  ///< double everywhere — the reference path
   kF32 = 1,  ///< packed single-precision fast path
-  kI8 = 2,   ///< quantized hidden layers, f32 final moment head
 };
 
-/// "f64" / "f32" / "i8" (flag spelling, also used in bench row names).
+/// "f64" / "f32" (flag spelling, also used in bench row names).
 const char* precision_name(Precision p);
 
-/// Parse "f32"/"f64"/"i8" (case-insensitive; also accepts
-/// "float"/"double"/"int8"). Throws InvalidArgument on anything else.
+/// Parse "f32"/"f64" (case-insensitive; also accepts "float"/"double").
+/// Throws InvalidArgument on anything else.
 Precision parse_precision(const std::string& name);
 
 /// Pin the process-wide precision, overriding APDS_PRECISION.

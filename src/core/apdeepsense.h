@@ -53,9 +53,8 @@ class ApDeepSense {
 
   /// Propagate at an explicit precision regardless of the global setting:
   /// kF64 is the reference path; kF32 runs the whole layer stack through
-  /// the fused single-precision kernels and widens the result; kI8 runs
-  /// hidden layers on symmetric-quantized i8 weights and keeps the final
-  /// moment head in f32. API types stay double either way.
+  /// the fused single-precision kernels and widens the result. API types
+  /// stay double either way.
   MeanVar propagate(const MeanVar& input, Precision precision) const;
 
   /// Single-input convenience.
@@ -91,7 +90,7 @@ class ApDeepSense {
   std::vector<PiecewiseLinear> surrogates_;  ///< one per layer
 
   mutable Mutex sessions_mu_;
-  mutable std::array<std::shared_ptr<InferenceSession>, 3> sessions_
+  mutable std::array<std::shared_ptr<InferenceSession>, 2> sessions_
       APDS_GUARDED_BY(sessions_mu_);
 };
 

@@ -65,16 +65,7 @@ void InferenceSession::build(const Mlp& mlp) {
       for (std::size_t l = 0; l < layers; ++l)
         panels32_.push_back(pack_dense_layer(mlp.layer(l)));
       break;
-    case Precision::kI8: {
-      for (std::size_t l = 0; l + 1 < layers; ++l) {
-        APDS_CHECK_MSG(mlp.layer(l).in_dim() <= kMaxQuantizedInnerDim,
-                       "InferenceSession(i8): inner dim overflows i32");
-        qlayers_.push_back(quantize_dense_layer(mlp.layer(l)));
-      }
-      panels32_.push_back(pack_dense_layer(mlp.layer(layers - 1)));
-      break;
-    }
-    default:
+    case Precision::kF64:
       w64_.reserve(layers);
       wsq64_.reserve(layers);
       b64_.reserve(layers);
@@ -99,10 +90,6 @@ void InferenceSession::build(const Mlp& mlp) {
   for (const Matrix& m : wsq64_) weight_bytes_ += matrix_bytes(m.size(), 8);
   for (const Matrix& m : b64_) weight_bytes_ += matrix_bytes(m.size(), 8);
   for (const PackedDenseLayer& p : panels32_) weight_bytes_ += p.bytes();
-  for (const QuantizedDenseLayer& q : qlayers_)
-    weight_bytes_ += q.weight.data.size() + q.weight_sq.data.size() +
-                     (q.weight.scale.size() + q.weight_sq.scale.size()) * 4 +
-                     matrix_bytes(q.bias.size(), 4);
 
   // Eagerly plan + back the arena for this thread when the caller declared
   // a batch capacity up front; first propagate is then already steady.
@@ -120,8 +107,8 @@ InferenceSession::ArenaPlan InferenceSession::plan_for(
   // Intermediate layer batches h_i ping-pong between two parity slots, so
   // each slot only needs the widest dim of its parity class. The f64 path
   // reads the input and writes the final output in caller memory (same
-  // scalar type), so only h_1..h_{L-1} live in the arena; the f32/i8 paths
-  // also keep the narrowed input h_0 and the pre-widening output h_L here.
+  // scalar type), so only h_1..h_{L-1} live in the arena; the f32 path
+  // also keeps the narrowed input h_0 and the pre-widening output h_L here.
   std::size_t slot_dim[2] = {0, 0};
   const std::size_t lo = f64 ? 1 : 0;
   const std::size_t hi = f64 ? (L == 0 ? 0 : L - 1) : L;
@@ -140,12 +127,6 @@ InferenceSession::ArenaPlan InferenceSession::plan_for(
   plan.slot_var[1] = p.reserve(batch * slot_dim[1] * esz);
   plan.sm = p.reserve(batch * max_in * esz);
   plan.vi = p.reserve(batch * max_in * esz);
-  if (config_.precision == Precision::kI8) {
-    plan.q_sm = p.reserve(batch * max_in);
-    plan.q_vi = p.reserve(batch * max_in);
-    plan.sm_scale = p.reserve(batch * sizeof(float));
-    plan.vi_scale = p.reserve(batch * sizeof(float));
-  }
   plan.bytes = p.planned_bytes();
   return plan;
 }
@@ -229,10 +210,7 @@ void InferenceSession::propagate(const MeanVar& input, MeanVar& out,
     case Precision::kF32:
       propagate_f32(input, out, ta);
       break;
-    case Precision::kI8:
-      propagate_i8(input, out, ta);
-      break;
-    default:
+    case Precision::kF64:
       propagate_f64(input, out, ta, layer_outputs);
       break;
   }
@@ -339,60 +317,6 @@ void InferenceSession::propagate_f32(const MeanVar& input, MeanVar& out,
                            pwl_packs_[l].view(), scratch, om, ov);
     APDS_MOMENT_CONTRACT_BUF(om, ov, batch * dims_[l + 1], dims_[l + 1],
                              "session.propagate_f32 layer output");
-    cm = om;
-    cv = ov;
-  }
-  double* outm = out.mean.data();
-  double* outv = out.var.data();
-  const std::size_t n = batch * dims_[L];
-  for (std::size_t i = 0; i < n; ++i) outm[i] = static_cast<double>(cm[i]);
-  for (std::size_t i = 0; i < n; ++i) outv[i] = static_cast<double>(cv[i]);
-}
-
-void InferenceSession::propagate_i8(const MeanVar& input, MeanVar& out,
-                                    ThreadArena& ta) const {
-  const std::size_t batch = input.batch();
-  const std::size_t L = num_layers();
-  FusedScratchView scratch;
-  scratch.sm = ta.arena.at<float>(ta.plan.sm);
-  scratch.vi = ta.arena.at<float>(ta.plan.vi);
-  scratch.q_sm = ta.arena.at<std::int8_t>(ta.plan.q_sm);
-  scratch.q_vi = ta.arena.at<std::int8_t>(ta.plan.q_vi);
-  scratch.sm_scale = ta.arena.at<float>(ta.plan.sm_scale);
-  scratch.vi_scale = ta.arena.at<float>(ta.plan.vi_scale);
-
-  float* cm = ta.arena.at<float>(ta.plan.slot_mean[0]);
-  float* cv = ta.arena.at<float>(ta.plan.slot_var[0]);
-  {
-    const double* im = input.mean.data();
-    const double* iv = input.var.data();
-    const std::size_t n = batch * dims_[0];
-    for (std::size_t i = 0; i < n; ++i) cm[i] = static_cast<float>(im[i]);
-    for (std::size_t i = 0; i < n; ++i) cv[i] = static_cast<float>(iv[i]);
-  }
-  APDS_MOMENT_CONTRACT_BUF(cm, cv, batch * dims_[0], dims_[0],
-                           "session.propagate_i8 input");
-  for (std::size_t l = 0; l < L; ++l) {
-    float* om = ta.arena.at<float>(ta.plan.slot_mean[(l + 1) % 2]);
-    float* ov = ta.arena.at<float>(ta.plan.slot_var[(l + 1) % 2]);
-    obs::FlightLayerTimer layer_timer;
-    TraceSpan span("apd.layer");
-    if (span.active())
-      span.set_args("\"layer\":" + std::to_string(l) +
-                    ",\"in\":" + std::to_string(dims_[l]) +
-                    ",\"out\":" + std::to_string(dims_[l + 1]) +
-                    ",\"act\":\"" + act_names_[l] + "\"");
-    if (l + 1 < L) {
-      moment_linear_act_into(cm, cv, batch, dims_[l], qlayers_[l],
-                             keep_probs_[l], surrogates_[l],
-                             pwl_packs_[l].view(), scratch, om, ov);
-    } else {
-      moment_linear_act_into(cm, cv, batch, dims_[l], panels32_.back(),
-                             keep_probs_[l], surrogates_[l],
-                             pwl_packs_[l].view(), scratch, om, ov);
-    }
-    APDS_MOMENT_CONTRACT_BUF(om, ov, batch * dims_[l + 1], dims_[l + 1],
-                             "session.propagate_i8 layer output");
     cm = om;
     cv = ov;
   }

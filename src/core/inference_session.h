@@ -2,14 +2,13 @@
 // one precision, with fully planned memory (onnxruntime core/session-style).
 //
 // Construction walks the layer sequence once: it packs the weights for the
-// configured precision (f64 W/W∘W; f32 W/W∘W column panels for the
-// register-blocked tile; or i8 symmetric per-channel quantized hidden
-// layers + an f32-panel moment head), resolves the PWL
-// activation surrogates and their kernel packing, and derives the arena
-// layout — every intermediate buffer's shape (post-GEMM moments, fused-tile
-// spill, activation outputs, quantized activation rows) becomes an offset
-// into one contiguous per-(session, thread) arena, with ping-pong parity
-// reuse so two layer buffers back the whole depth. Steady-state
+// configured precision (f64 W/W∘W, or f32 W/W∘W column panels for the
+// register-blocked tile), resolves the PWL activation surrogates and their
+// kernel packing, and derives the arena layout — every intermediate
+// buffer's shape (post-GEMM moments, prepped GEMM inputs, activation
+// outputs) becomes an offset into one contiguous per-(session, thread)
+// arena, with ping-pong parity reuse so two layer buffers back the whole
+// depth. Steady-state
 // propagate() therefore performs ZERO heap allocations: it hands out arena
 // pointers, runs the raw moment_*_into kernels, and writes into a
 // caller-reused output batch. tests/test_inference_session.cpp asserts the
@@ -96,7 +95,7 @@ class InferenceSession {
     return propagate_count_.load(std::memory_order_relaxed);
   }
 
-  /// Bytes held by the packed weights (all precisions' buffers included).
+  /// Bytes held by the packed weights.
   std::size_t weight_bytes() const { return weight_bytes_; }
   /// Arena bytes one thread's plan needs for `batch` (the sizing formula
   /// documented in docs/PERFORMANCE.md).
@@ -116,8 +115,7 @@ class InferenceSession {
  private:
   /// Offsets (bytes into the arena) of every planned slice. Intermediate
   /// layer batches ping-pong between two parity slots; sm/vi are the
-  /// prepped GEMM inputs reused by every layer; the q_*/scale slices exist
-  /// only at i8.
+  /// prepped GEMM inputs reused by every layer.
   struct ArenaPlan {
     std::size_t batch = 0;
     std::size_t bytes = 0;
@@ -125,10 +123,6 @@ class InferenceSession {
     std::size_t slot_var[2] = {0, 0};
     std::size_t sm = 0;
     std::size_t vi = 0;
-    std::size_t q_sm = 0;
-    std::size_t q_vi = 0;
-    std::size_t sm_scale = 0;
-    std::size_t vi_scale = 0;
   };
 
   struct ThreadArena {
@@ -146,8 +140,6 @@ class InferenceSession {
                      std::vector<MeanVar>* layer_outputs) const;
   void propagate_f32(const MeanVar& input, MeanVar& out,
                      ThreadArena& ta) const;
-  void propagate_i8(const MeanVar& input, MeanVar& out,
-                    ThreadArena& ta) const;
 
   SessionConfig config_;
   std::uint64_t id_;
@@ -160,9 +152,7 @@ class InferenceSession {
   // Exactly one precision's pack is populated (sessions are per-precision;
   // an estimator that serves several precisions holds several sessions).
   std::vector<Matrix> w64_, wsq64_, b64_;
-  /// f32: every layer's column panels; i8: only the f32 moment head.
-  std::vector<PackedDenseLayer> panels32_;
-  std::vector<QuantizedDenseLayer> qlayers_;  ///< i8 hidden layers
+  std::vector<PackedDenseLayer> panels32_;  ///< f32 column panels
 
   std::size_t weight_bytes_ = 0;
   mutable std::atomic<std::uint64_t> epoch_{1};  ///< bumped by trim()

@@ -15,26 +15,17 @@
 // rows 2 KB apart on the same few L1 sets, so a blocked kernel reading it
 // misses on every reuse (docs/PERFORMANCE.md has the numbers).
 //
-// Both fused drivers route through the runtime kernel dispatcher
+// Both entry points route through the runtime kernel dispatcher
 // (tensor/kernels/), so the tile kernels run at the widest ISA tier the
-// CPU supports. The i8 variant additionally consumes per-output-channel
-// symmetric quantized weights (tensor/quantize.h) with dynamic per-row
-// activation quantization and exact i32 accumulation — the paper's
-// low-cost-IoT pitch taken one tier further. The final moment head of a
-// network should stay f32/f64 (the i8 InferenceSession does this);
-// quantizing the layer that *reports* the predictive variance costs
-// calibration, whereas hidden layers tolerate it (drift numbers in
-// docs/PERFORMANCE.md).
+// CPU supports.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "core/gaussian_vec.h"
 #include "core/piecewise_linear.h"
 #include "nn/mlp.h"
 #include "tensor/kernels/kernel_dispatch.h"
-#include "tensor/quantize.h"
 
 namespace apds {
 
@@ -70,29 +61,12 @@ struct PackedDenseLayer {
 /// Pack one trained layer's weights for the f32 fused path.
 PackedDenseLayer pack_dense_layer(const DenseLayer& layer);
 
-/// One dense layer packed for the i8 path: symmetric per-output-channel
-/// i8 weights for W and W∘W (squared in f64, then quantized — one
-/// quantization instead of a quantized square), plus f32 bias.
-struct QuantizedDenseLayer {
-  QuantizedMatrix weight;
-  QuantizedMatrix weight_sq;
-  MatrixF bias;
-};
-
-/// Pack one trained layer's weights for the i8 fused path.
-QuantizedDenseLayer quantize_dense_layer(const DenseLayer& layer);
-
 /// Caller-provided scratch for the raw fused entry points: sm/vi are
-/// batch x kdim f32 blocks (prepped GEMM inputs); the q_*/*_scale members
-/// are only dereferenced by the i8 overload (batch x kdim i8 rows plus
-/// per-row dynamic scales). Sessions pass arena-planned slices.
+/// batch x kdim f32 blocks (prepped GEMM inputs). Sessions pass
+/// arena-planned slices.
 struct FusedScratchView {
   float* sm = nullptr;
   float* vi = nullptr;
-  std::int8_t* q_sm = nullptr;
-  std::int8_t* q_vi = nullptr;
-  float* sm_scale = nullptr;
-  float* vi_scale = nullptr;
 };
 
 /// Fused f32 moment_linear -> activation against a layer packed at load:
@@ -119,18 +93,6 @@ void moment_linear_act_into(const float* in_mean, const float* in_var,
                             std::size_t batch, std::size_t kdim,
                             const float* weight, const float* weight_sq,
                             const float* bias, std::size_t n,
-                            double keep_prob, const PiecewiseLinear& f,
-                            const PwlView& view,
-                            const FusedScratchView& scratch, float* out_mean,
-                            float* out_var);
-
-/// Raw-buffer fused i8 layer: dynamic per-row input quantization, exact
-/// i32 accumulation against the packed i8 weights, dequantize + bias + PWL
-/// activation moments in one tile pass. Scratch must include the
-/// q_*/*_scale blocks; requires kdim <= kMaxQuantizedInnerDim.
-void moment_linear_act_into(const float* in_mean, const float* in_var,
-                            std::size_t batch, std::size_t kdim,
-                            const QuantizedDenseLayer& layer,
                             double keep_prob, const PiecewiseLinear& f,
                             const PwlView& view,
                             const FusedScratchView& scratch, float* out_mean,

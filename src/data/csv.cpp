@@ -1,7 +1,9 @@
 #include "data/csv.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <string>
 
 #include "common/error.h"
 #include "common/string_util.h"
@@ -28,25 +30,35 @@ Matrix read_csv(const std::string& path, bool skip_header) {
   std::ifstream is(path);
   if (!is) throw IoError("read_csv: cannot open " + path);
   std::string line;
-  if (skip_header && !std::getline(is, line))
-    throw IoError("read_csv: empty file " + path);
+  std::size_t line_no = 0;  // 1-based physical line, header included
+  if (skip_header) {
+    if (!std::getline(is, line)) throw IoError("read_csv: empty file " + path);
+    ++line_no;
+  }
 
   std::vector<double> values;
   std::size_t cols = 0;
   std::size_t rows = 0;
   while (std::getline(is, line)) {
+    ++line_no;
     if (trim(line).empty()) continue;
     const auto fields = split(line, ',');
     if (cols == 0)
       cols = fields.size();
     else if (fields.size() != cols)
       throw IoError("read_csv: ragged row in " + path);
-    for (const auto& f : fields) {
+    for (std::size_t c = 0; c < fields.size(); ++c) {
       char* end = nullptr;
-      const std::string t = trim(f);
+      const std::string t = trim(fields[c]);
       const double v = std::strtod(t.c_str(), &end);
       if (end == t.c_str() || *end != '\0')
         throw IoError("read_csv: non-numeric cell '" + t + "' in " + path);
+      // strtod also accepts nan/inf spellings and overflows to HUGE_VAL;
+      // none of those is a sensor reading.
+      if (!std::isfinite(v))
+        throw IoError("read_csv: non-finite cell '" + t + "' in " + path +
+                      " at line " + std::to_string(line_no) + ", column " +
+                      std::to_string(c + 1));
       values.push_back(v);
     }
     ++rows;

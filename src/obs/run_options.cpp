@@ -140,9 +140,8 @@ const char* obs_flags_help() {
          "  --log-level <lvl>   debug|info|warn|error|off\n"
          "  --threads <n>       thread-pool width (1 = serial; default\n"
          "                      APDS_THREADS env, then hardware)\n"
-         "  --precision <p>     inference scalar width: f64 (default), f32\n"
-         "                      fast path or i8 quantized (default\n"
-         "                      APDS_PRECISION env)\n"
+         "  --precision <p>     inference scalar width: f64 (default) or\n"
+         "                      f32 fast path (default APDS_PRECISION env)\n"
          "  --kernel <b>        kernel ISA tier: scalar|avx2|avx512\n"
          "                      (default APDS_KERNEL env, then CPUID probe;\n"
          "                      unsupported tiers clamp to the best one)";

@@ -25,9 +25,8 @@
 //   --threads <n>       width of the global thread pool (1 = serial).
 //                       Precedence: --threads > APDS_THREADS env >
 //                       hardware concurrency.
-//   --precision <p>     inference scalar width: f64 (reference, default),
-//                       f32 (packed-weight SIMD fast path) or i8
-//                       (quantized hidden layers, f32 moment head).
+//   --precision <p>     inference scalar width: f64 (reference, default)
+//                       or f32 (packed-weight SIMD fast path).
 //                       Precedence: --precision > APDS_PRECISION env > f64.
 //   --kernel <b>        kernel ISA tier: scalar | avx2 | avx512.
 //                       Precedence: --kernel > APDS_KERNEL env > CPUID

@@ -36,7 +36,7 @@ KernelBackend probe_best() {
 #if APDS_KERNELS_X86
   // The avx512 TU is built for the Skylake-X set (F+BW+DQ+VL); probe all
   // four so a hypothetical F-only part (Xeon Phi) falls back to avx2
-  // instead of faulting on a vpmaddwd.
+  // instead of faulting on an instruction the compiler chose from BW/DQ/VL.
   if (__builtin_cpu_supports("avx512f") &&
       __builtin_cpu_supports("avx512bw") &&
       __builtin_cpu_supports("avx512dq") && __builtin_cpu_supports("avx512vl"))

@@ -1,9 +1,9 @@
 // Runtime CPU-feature kernel dispatch (MLAS-style).
 //
-// The f32/i8 hot kernels exist in three builds of one shared body
+// The f32 hot kernels exist in three builds of one shared body
 // (kernel_body.inl): a baseline TU compiled with the project defaults
-// (SSE2 on x86-64), an AVX2+FMA TU and a Skylake-X AVX-512 TU (F+BW+DQ+VL
-// — BW is what gives the i8 kernels 512-bit vpmaddwd), each with its own
+// (SSE2 on x86-64), an AVX2+FMA TU and a Skylake-X AVX-512 TU (F+BW+DQ+VL,
+// kept as-is so the f32 codegen does not move), each with its own
 // -m flags (see src/tensor/CMakeLists.txt). At startup the dispatcher
 // probes CPUID once and binds the best supported table; every caller goes
 // through kernel_ops() function pointers, so one binary serves the whole
@@ -18,15 +18,13 @@
 //
 // The f64 reference path does NOT dispatch: it keeps the default FP flags
 // and one TU so its arithmetic stays bit-identical across releases. Only
-// the f32 fast path and the i8 quantized path route through this table,
-// and both keep the per-output-element accumulation order of the serial
-// loops, so results are bit-identical across thread counts *within* a
+// the f32 fast path routes through this table, and it keeps the
+// per-output-element accumulation order of the serial loops, so results are bit-identical across thread counts *within* a
 // backend (across backends they agree to documented tolerances — FMA
 // contraction and vector shuffles change rounding, not math).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -193,21 +191,6 @@ struct KernelOps {
                           std::size_t kdim, std::size_t r0, std::size_t r1,
                           std::size_t j0, std::size_t j1, float* tmean,
                           float* tvar);
-
-  /// i8 twin of moment_tile_f32: qsm/qvi are the dynamically quantized
-  /// input matrices (symmetric, per-row scales sm_scale/vi_scale indexed
-  /// by absolute row); qw/qwsq are kdim x n i8 weights with per-output-
-  /// column scales w_scale/wsq_scale. Accumulation is exact i32 (caller
-  /// bounds kdim so 127^2 * kdim fits); dequantization lands directly in
-  /// the f32 tile, bias added and variance clamped >= 0 as in the f32
-  /// kernel.
-  void (*moment_tile_i8)(const std::int8_t* qsm, const float* sm_scale,
-                         const std::int8_t* qvi, const float* vi_scale,
-                         const std::int8_t* qw, const float* w_scale,
-                         const std::int8_t* qwsq, const float* wsq_scale,
-                         const float* bias, std::size_t kdim, std::size_t n,
-                         std::size_t r0, std::size_t r1, std::size_t j0,
-                         std::size_t j1, float* tmean, float* tvar);
 };
 
 /// The table bound to the globally resolved backend.

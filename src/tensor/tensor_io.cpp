@@ -1,5 +1,6 @@
 #include "tensor/tensor_io.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <istream>
 #include <ostream>
@@ -7,6 +8,10 @@
 namespace apds {
 
 namespace {
+
+/// Payload read granularity: 1 MiB of doubles.
+constexpr std::size_t kReadChunkElems = (std::size_t{1} << 20) / sizeof(double);
+
 void write_u64(std::ostream& os, std::uint64_t v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(v));
 }
@@ -32,10 +37,22 @@ Matrix read_matrix(std::istream& is, std::size_t max_elems) {
   const std::uint64_t cols = read_u64(is);
   if (rows != 0 && cols > max_elems / rows)
     throw IoError("read_matrix: implausible shape (corrupt file?)");
-  std::vector<double> data(rows * cols);
-  is.read(reinterpret_cast<char*>(data.data()),
-          static_cast<std::streamsize>(sizeof(double) * data.size()));
-  if (!is) throw IoError("read_matrix: truncated payload");
+  // Grow the buffer as the payload arrives, at most one chunk ahead of
+  // what has been read, instead of trusting the header up front: a corrupt
+  // 16-byte file claiming 2^28 elements must not zero-fill 2 GiB before
+  // failing. std::vector's geometric growth keeps this linear, so a lying
+  // header costs at most about twice the bytes actually present plus one
+  // chunk.
+  const std::size_t total = static_cast<std::size_t>(rows * cols);
+  std::vector<double> data;
+  while (data.size() < total) {
+    const std::size_t have = data.size();
+    const std::size_t step = std::min(total - have, kReadChunkElems);
+    data.resize(have + step);
+    is.read(reinterpret_cast<char*>(data.data() + have),
+            static_cast<std::streamsize>(sizeof(double) * step));
+    if (!is) throw IoError("read_matrix: truncated payload");
+  }
   return Matrix::from_data(rows, cols, std::move(data));
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
+#include <string>
 
 #include "temp_dir.h"
 #include "tensor/ops.h"
@@ -54,6 +56,34 @@ TEST_F(CsvTest, NonNumericCellRejected) {
   os << "1,banana\n";
   os.close();
   EXPECT_THROW(read_csv(path("text.csv")), IoError);
+}
+
+TEST_F(CsvTest, NonFiniteCellRejectedWithLineAndColumn) {
+  // Header line, a blank line, then the bad cell in column 2 of line 4.
+  for (const char* bad : {"nan", "inf", "-Infinity", "1e999"}) {
+    SCOPED_TRACE(bad);
+    std::ofstream os(path("nonfinite.csv"));
+    os << "a,b\n1,2\n\n3," << bad << "\n";
+    os.close();
+    try {
+      read_csv(path("nonfinite.csv"), /*skip_header=*/true);
+      ADD_FAILURE() << "accepted " << bad;
+    } catch (const IoError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(path("nonfinite.csv")), std::string::npos) << what;
+      EXPECT_NE(what.find("line 4"), std::string::npos) << what;
+      EXPECT_NE(what.find("column 2"), std::string::npos) << what;
+    }
+  }
+}
+
+TEST_F(CsvTest, FiniteUnderflowAccepted) {
+  std::ofstream os(path("tiny.csv"));
+  os << "1e-400,1\n";
+  os.close();
+  const Matrix m = read_csv(path("tiny.csv"));
+  EXPECT_TRUE(std::isfinite(m(0, 0)));
+  EXPECT_EQ(m(0, 1), 1.0);
 }
 
 TEST_F(CsvTest, BlankLinesSkipped) {

@@ -96,8 +96,7 @@ TEST(InferenceSession, BitIdenticalToLegacyPropagateAcrossPrecisions) {
   const Matrix x = random_matrix(7, 10, rng);
   const MeanVar input = MeanVar::point(x);
 
-  for (const Precision precision :
-       {Precision::kF64, Precision::kF32, Precision::kI8}) {
+  for (const Precision precision : {Precision::kF64, Precision::kF32}) {
     SCOPED_TRACE(precision_name(precision));
     SessionConfig cfg;
     cfg.precision = precision;
@@ -128,8 +127,7 @@ TEST(InferenceSession, EstimatorSessionBitIdenticalToStandaloneSession) {
   const ApDeepSense& apd = estimator.propagator();
   const MeanVar input = MeanVar::point(random_matrix(7, 10, rng));
 
-  for (const Precision precision :
-       {Precision::kF64, Precision::kF32, Precision::kI8}) {
+  for (const Precision precision : {Precision::kF64, Precision::kF32}) {
     SCOPED_TRACE(precision_name(precision));
     SessionConfig cfg;
     cfg.precision = precision;
@@ -158,8 +156,8 @@ TEST(InferenceSession, EstimatorSessionBitIdenticalToStandaloneSession) {
 }
 
 // Layer recording is the f64 validation surface: the recorded last layer is
-// the propagate output itself, and asking an f32 or i8 session to record
-// fails instead of silently recording something else.
+// the propagate output itself, and asking an f32 session to record fails
+// instead of silently recording something else.
 TEST(InferenceSession, LayerRecordingIsF64Only) {
   Rng rng(37);
   const Mlp mlp = random_mlp({6, 12, 9, 3}, Activation::kTanh, 0.9, rng);
@@ -175,13 +173,10 @@ TEST(InferenceSession, LayerRecordingIsF64Only) {
   EXPECT_EQ(layers[2].mean, out.mean);
   EXPECT_EQ(layers[2].var, out.var);
 
-  for (const Precision precision : {Precision::kF32, Precision::kI8}) {
-    SCOPED_TRACE(precision_name(precision));
-    SessionConfig cfg;
-    cfg.precision = precision;
-    const InferenceSession session(mlp, cfg);
-    EXPECT_THROW(session.propagate(input, out, &layers), InvalidArgument);
-  }
+  SessionConfig cfg;
+  cfg.precision = Precision::kF32;
+  const InferenceSession f32(mlp, cfg);
+  EXPECT_THROW(f32.propagate(input, out, &layers), InvalidArgument);
 }
 
 // The tentpole claim: a warmed-up propagate() into a reused output batch
@@ -202,8 +197,7 @@ TEST(InferenceSession, SteadyStatePropagateAllocatesNothing) {
     for (const KernelBackend backend :
          {KernelBackend::kScalar, best_supported_backend()}) {
       set_global_kernel_backend(backend);
-      for (const Precision precision :
-           {Precision::kF64, Precision::kF32, Precision::kI8}) {
+      for (const Precision precision : {Precision::kF64, Precision::kF32}) {
         SCOPED_TRACE(std::string(precision_name(precision)) + "/" +
                      kernel_backend_name(backend) + "/t" +
                      std::to_string(threads));

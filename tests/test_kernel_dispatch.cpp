@@ -3,9 +3,8 @@
 // guards correctness — per-backend agreement of every dispatched kernel
 // against the scalar reference table on identical inputs. The scalar TU is
 // compiled with project-default flags, so it is the portable baseline the
-// wider tiers must reproduce within documented tolerances (f32 kernels:
-// FMA contraction and shuffle order change rounding, not math; i8 kernels:
-// integer accumulation is exact, only the f32 dequant epilogue may differ).
+// wider tiers must reproduce within documented tolerances (FMA contraction
+// and shuffle order change rounding, not math).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -25,7 +24,6 @@
 #include "nn/mlp.h"
 #include "tensor/kernels/kernel_dispatch.h"
 #include "tensor/ops.h"
-#include "tensor/quantize.h"
 
 namespace apds {
 namespace {
@@ -136,7 +134,6 @@ TEST(KernelDispatch, TablesAreFullyPopulated) {
     EXPECT_NE(ops.act_tile_f32, nullptr);
     EXPECT_NE(ops.pack_panels_f32, nullptr);
     EXPECT_NE(ops.moment_tile_f32, nullptr);
-    EXPECT_NE(ops.moment_tile_i8, nullptr);
   }
 }
 
@@ -419,72 +416,6 @@ TEST(KernelAgreement, FusedF32PropagateMatchesScalarBackend) {
     EXPECT_LE(max_abs_diff(ref.var, got.var), 1e-4)
         << kernel_backend_name(back);
   }
-}
-
-TEST(KernelAgreement, FusedI8PropagateMatchesScalarBackend) {
-  struct Cleanup {
-    ~Cleanup() { clear_global_kernel_backend(); }
-  } cleanup;
-  Rng rng(46);
-  const Mlp mlp = small_net(rng);
-  const ApDeepSense apd(mlp);
-  MeanVar input(6, 24);
-  for (double& v : input.mean.flat()) v = rng.normal();
-  for (double& v : input.var.flat()) v = std::fabs(rng.normal());
-
-  set_global_kernel_backend(KernelBackend::kScalar);
-  const MeanVar ref = apd.propagate(input, Precision::kI8);
-  for (const KernelBackend back : supported_backends()) {
-    set_global_kernel_backend(back);
-    const MeanVar got = apd.propagate(input, Precision::kI8);
-    // The i8 accumulation is exact i32 on every tier; only the f32 dequant
-    // epilogue (scale multiplies + bias) may contract differently, so the
-    // cross-backend gap is small — but NOT zero like a pure-integer kernel.
-    EXPECT_LE(max_abs_diff(ref.mean, got.mean), 1e-3)
-        << kernel_backend_name(back);
-    EXPECT_LE(max_abs_diff(ref.var, got.var), 1e-3)
-        << kernel_backend_name(back);
-  }
-}
-
-// ---- quantization round trips ----------------------------------------------
-
-TEST(Quantize, PerColumnRoundTripStaysInsideHalfStep) {
-  Rng rng(47);
-  Matrix w(64, 48);
-  for (double& v : w.flat()) v = rng.normal() * 3.0;
-  w(0, 5) = 40.0;  // one outlier channel must not hurt the others
-  const QuantizedMatrix q = quantize_per_col(w);
-  ASSERT_EQ(q.rows, 64u);
-  ASSERT_EQ(q.cols, 48u);
-  for (std::size_t i = 0; i < q.rows; ++i) {
-    for (std::size_t j = 0; j < q.cols; ++j) {
-      const std::int8_t qv = q.data[i * q.cols + j];
-      EXPECT_GE(qv, -127);  // -128 is never produced (symmetric range)
-      const double back =
-          static_cast<double>(qv) * static_cast<double>(q.scale[j]);
-      EXPECT_LE(std::fabs(back - w(i, j)),
-                static_cast<double>(q.scale[j]) * 0.5 + 1e-12)
-          << i << "," << j;
-    }
-  }
-}
-
-TEST(Quantize, RowQuantizationPreservesZerosAndHandlesZeroRows) {
-  float x[5] = {0.0f, -2.5f, 1.25f, 0.0f, 5.0f};
-  std::int8_t q[5];
-  float scale = 0.0f;
-  quantize_row_i8(x, 5, q, &scale);
-  EXPECT_EQ(q[0], 0);  // dropout-zeroed lanes stay exactly zero
-  EXPECT_EQ(q[3], 0);
-  EXPECT_EQ(q[4], 127);  // the max element pins the scale
-  EXPECT_FLOAT_EQ(scale, 5.0f / 127.0f);
-
-  float zeros[3] = {0.0f, 0.0f, 0.0f};
-  std::int8_t qz[3] = {1, 1, 1};
-  quantize_row_i8(zeros, 3, qz, &scale);
-  EXPECT_FLOAT_EQ(scale, 1.0f);
-  for (const std::int8_t v : qz) EXPECT_EQ(v, 0);
 }
 
 }  // namespace

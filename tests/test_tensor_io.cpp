@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/rng.h"
+#include "obs/alloc_stats.h"
 #include "tensor/ops.h"
 
 namespace apds {
@@ -43,6 +44,24 @@ TEST(TensorIo, TruncatedPayloadThrows) {
   data.resize(data.size() - 8);  // drop one double
   std::stringstream truncated(data);
   EXPECT_THROW(read_matrix(truncated), IoError);
+}
+
+TEST(TensorIo, TruncatedPayloadDoesNotAllocateClaimedShape) {
+  // A header claiming 2^24 elements (128 MiB) followed by one double: the
+  // reader must fail on the missing payload without first allocating the
+  // claimed shape.
+  std::stringstream ss;
+  const std::uint64_t rows = 1ULL << 12;
+  const std::uint64_t cols = 1ULL << 12;
+  const double one = 1.0;
+  ss.write(reinterpret_cast<const char*>(&rows), 8);
+  ss.write(reinterpret_cast<const char*>(&cols), 8);
+  ss.write(reinterpret_cast<const char*>(&one), 8);
+  ASSERT_TRUE(obs::alloc_hooks_active());
+  const obs::AllocCounters before = obs::thread_alloc_counters();
+  EXPECT_THROW(read_matrix(ss), IoError);
+  const obs::AllocCounters grown = obs::thread_alloc_counters() - before;
+  EXPECT_LT(grown.bytes, 16ULL << 20);
 }
 
 TEST(TensorIo, ImplausibleShapeRejected) {

@@ -1275,7 +1275,7 @@ void collect_alloc_sites(const std::string& code, std::size_t begin,
   // (`MeanVar out;`) is free — default construction allocates nothing —
   // but construction with arguments or assignment does.
   static const std::regex container_re(
-      R"(\b(std\s*::\s*(?:vector|deque|list|map|multimap|set|multiset|unordered_map|unordered_set|string|wstring|basic_string)|Matrix[FT]?|MeanVar[FT]?|GaussianVec|PwlPack|QuantizedDenseLayer)\b)");
+      R"(\b(std\s*::\s*(?:vector|deque|list|map|multimap|set|multiset|unordered_map|unordered_set|string|wstring|basic_string)|Matrix[FT]?|MeanVar[FT]?|GaussianVec|PwlPack)\b)");
   for (auto it = std::regex_iterator(first, last, container_re);
        it != std::regex_iterator<std::string::const_iterator>(); ++it) {
     const std::size_t at = begin + static_cast<std::size_t>(it->position());
@@ -1433,7 +1433,6 @@ bool is_hot_path_root(const FuncDef& def) {
       "InferenceSession::propagate",
       "InferenceSession::propagate_f64",
       "InferenceSession::propagate_f32",
-      "InferenceSession::propagate_i8",
   };
   for (const char* root : kQualifiedRoots)
     if (def.name == root || has_suffix(def.name, std::string("::") + root))
