@@ -71,8 +71,8 @@ class ApDeepSense {
 
   /// The session every propagate at `precision` runs through. Built on
   /// first use (thread-safe), then shared: a process that only ever runs
-  /// one precision packs the weights once. Sessions are shared_ptr so
-  /// callers may also park them in a SessionRegistry.
+  /// one precision packs the weights once. Callers that serve requests
+  /// directly (run_system_perf, the examples) propagate through it too.
   std::shared_ptr<InferenceSession> session(Precision precision) const;
 
   const Mlp& network() const { return *mlp_; }

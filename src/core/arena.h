@@ -3,10 +3,9 @@
 // The zero-alloc story has two halves:
 //  * ArenaPlanner + Arena: an InferenceSession walks its layer sequence at
 //    load time, reserves every intermediate buffer's bytes through a
-//    planner (offset assignment with lifetime overlap via mark/rewind), and
-//    backs the plan with one contiguous aligned allocation per
-//    (session, thread). Steady-state propagate then only hands out
-//    pointers into that block — zero heap traffic.
+//    planner (offset assignment), and backs the plan with one contiguous
+//    aligned allocation per (session, thread). Steady-state propagate
+//    then only hands out pointers into that block — zero heap traffic.
 //  * ScratchArena + thread_scratch(): the by-value moment_linear overloads
 //    (the one non-session kernel entry point with temporaries) carve their
 //    GEMM-input slices out of one per-thread grow-on-demand byte buffer
@@ -37,32 +36,22 @@ constexpr std::size_t arena_round(std::size_t bytes) {
 }
 
 /// Offset assigner for an arena layout. reserve() hands out aligned,
-/// non-overlapping offsets; mark()/rewind() let a planner reuse the region
-/// occupied by buffers whose lifetime has ended (ping-pong layer buffers).
-/// planned_bytes() is the high-water mark — the arena size to back.
+/// non-overlapping offsets; planned_bytes() is their total — the arena
+/// size to back.
 class ArenaPlanner {
  public:
   /// Reserve `bytes` (rounded up to kArenaAlign); returns the slice offset.
   std::size_t reserve(std::size_t bytes) {
     const std::size_t off = cur_;
     cur_ += arena_round(bytes);
-    if (cur_ > peak_) peak_ = cur_;
     return off;
   }
 
-  /// Current watermark, for a later rewind().
-  std::size_t mark() const { return cur_; }
-
-  /// Roll back to a mark: everything reserved after it is dead and its
-  /// bytes may be re-reserved for buffers with a disjoint lifetime.
-  void rewind(std::size_t m) { cur_ = m; }
-
-  /// High-water bytes over all reserve() calls so far.
-  std::size_t planned_bytes() const { return peak_; }
+  /// Bytes over all reserve() calls so far.
+  std::size_t planned_bytes() const { return cur_; }
 
  private:
   std::size_t cur_ = 0;
-  std::size_t peak_ = 0;
 };
 
 /// One contiguous kArenaAlign-aligned allocation that offsets from an
@@ -80,7 +69,7 @@ class Arena {
   /// Contents are unspecified afterwards. Updates the process gauges.
   void allocate(std::size_t bytes);
 
-  /// Drop the backing allocation (trim path). Updates the process gauges.
+  /// Drop the backing allocation. Updates the process gauges.
   void release();
 
   std::size_t capacity() const { return bytes_; }
@@ -112,9 +101,6 @@ class ScratchArena {
 
   std::size_t capacity() const { return arena_.capacity(); }
 
-  /// Release the buffer (next require() reallocates).
-  void trim() { arena_.release(); }
-
  private:
   Arena arena_;
 };
@@ -127,12 +113,12 @@ ScratchArena& thread_scratch();
 /// destroyed owner can never alias a live one.
 std::uint64_t new_arena_owner_id();
 
-/// Per-thread (owner, epoch) -> arena pointer cache. A session bumps its
-/// epoch when it invalidates its arenas (trim), turning every thread's
-/// cached pointer into a miss; the session then re-binds on its slow path.
-/// Lookup on the hot path is a hash-map hit: no allocation.
-void* thread_arena_lookup(std::uint64_t owner, std::uint64_t epoch);
-void thread_arena_bind(std::uint64_t owner, std::uint64_t epoch, void* arena);
+/// Per-thread owner -> arena pointer cache. Owner ids are never reused, so
+/// an entry stays valid for as long as its owner lives; a miss sends the
+/// session to its slow path, which binds. Lookup on the hot path is a
+/// hash-map hit: no allocation.
+void* thread_arena_lookup(std::uint64_t owner);
+void thread_arena_bind(std::uint64_t owner, void* arena);
 
 /// Live / high-water arena bytes across the process (the gauge values).
 std::uint64_t arena_live_bytes();

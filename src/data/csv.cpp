@@ -36,6 +36,10 @@ Matrix read_csv(const std::string& path, bool skip_header) {
     ++line_no;
   }
 
+  // Every parse error names the file and the 1-based physical line.
+  const auto at_line = [&] {
+    return " in " + path + " at line " + std::to_string(line_no);
+  };
   std::vector<double> values;
   std::size_t cols = 0;
   std::size_t rows = 0;
@@ -46,18 +50,20 @@ Matrix read_csv(const std::string& path, bool skip_header) {
     if (cols == 0)
       cols = fields.size();
     else if (fields.size() != cols)
-      throw IoError("read_csv: ragged row in " + path);
+      throw IoError("read_csv: ragged row" + at_line() + " (" +
+                    std::to_string(fields.size()) + " cells, want " +
+                    std::to_string(cols) + ")");
     for (std::size_t c = 0; c < fields.size(); ++c) {
       char* end = nullptr;
       const std::string t = trim(fields[c]);
       const double v = std::strtod(t.c_str(), &end);
-      if (end == t.c_str() || *end != '\0')
-        throw IoError("read_csv: non-numeric cell '" + t + "' in " + path);
+      const bool numeric = end != t.c_str() && *end == '\0';
       // strtod also accepts nan/inf spellings and overflows to HUGE_VAL;
       // none of those is a sensor reading.
-      if (!std::isfinite(v))
-        throw IoError("read_csv: non-finite cell '" + t + "' in " + path +
-                      " at line " + std::to_string(line_no) + ", column " +
+      if (!numeric || !std::isfinite(v))
+        throw IoError(std::string("read_csv: ") +
+                      (numeric ? "non-finite" : "non-numeric") + " cell '" +
+                      t + "'" + at_line() + ", column " +
                       std::to_string(c + 1));
       values.push_back(v);
     }

@@ -6,7 +6,6 @@
 #include "common/precision.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
-#include "core/session_registry.h"
 #include "eval/table_printer.h"
 #include "metrics/classification_metrics.h"
 #include "metrics/regression_metrics.h"
@@ -131,12 +130,6 @@ std::vector<SystemRow> run_system_perf(ModelZoo& zoo, TaskId task,
   const Matrix one_input = td.x_test.row_copy(0);
   std::vector<SystemRow> rows;
 
-  // The serving loop below hosts its models in a SessionRegistry, the way a
-  // deployment with several resident networks would: one key per
-  // (task, activation, precision), planned arenas sized for batch 1, and
-  // zero steady-state allocations per request.
-  SessionRegistry registry;
-
   for (Activation act : kActs) {
     const Mlp& mlp = zoo.dropout_model(task, act);
     const std::string prefix = dnn_name(act) + "-";
@@ -167,21 +160,14 @@ std::vector<SystemRow> run_system_perf(ModelZoo& zoo, TaskId task,
     // configuration a deployment would run) into the health monitor, with
     // the modelled per-inference FLOP count for the Edison energy budget.
     // Each iteration is one request: the RequestScope gives it an id (so
-    // spans, exemplars and the flight-recorder record attribute to it).
+    // spans, exemplars and the flight-recorder record attribute to it). The
+    // requests run on the estimator's own session, whose batch-1 arena the
+    // host measurement above has already planned, so a warmed-up request
+    // allocates nothing.
     if (opt.measure_host) {
       obs::LatencySloMonitor& slo = obs::HealthMonitor::instance().latency();
-      const Precision precision = global_precision();
-      const std::string key = std::string(task_name(task)) + "/" + prefix +
-                              precision_name(precision);
       const std::shared_ptr<InferenceSession> session =
-          registry.get_or_load(key, [&] {
-            SessionConfig cfg;
-            cfg.precision = precision;
-            cfg.max_batch = 1;
-            // Reuse the estimator's fits rather than fitting again.
-            return std::make_shared<InferenceSession>(
-                mlp, apd.propagator().surrogates(), cfg);
-          });
+          apd.session(global_precision());
       const MeanVar serve_in = MeanVar::point(one_input);
       MeanVar serve_out;  // reused: a warmed-up request allocates nothing
       for (int i = 0; i < 20; ++i) {

@@ -57,8 +57,8 @@ struct RequestRecord {
   std::uint64_t allocs = 0;
   std::uint64_t alloc_bytes = 0;
   /// InferenceSession id the request ran through (0 = no session, e.g. an
-  /// MCDrop request). Lets flight dumps segment per model when a
-  /// SessionRegistry serves several concurrently.
+  /// MCDrop request). Lets flight dumps segment per model when one
+  /// process serves several.
   std::uint64_t session = 0;
 };
 

@@ -94,86 +94,39 @@ void gemm_impl(const MatrixT<T>& a, const MatrixT<T>& b, MatrixT<T>& c,
 // C[i,j] = sum_r A[r,i] * B[r,j]: iterate r outermost (rank-1 updates)
 // within each worker's disjoint slice of C rows. Per-element accumulation
 // stays in r order for any partition.
-template <typename T>
-void gemm_tn_panel(const T* ad, const T* bd, T* cd, std::size_t k,
-                   std::size_t m, std::size_t n, std::size_t i0,
+void gemm_tn_panel(const double* ad, const double* bd, double* cd,
+                   std::size_t k, std::size_t m, std::size_t n, std::size_t i0,
                    std::size_t i1) {
   for (std::size_t i = i0; i < i1; ++i)
-    std::memset(cd + i * n, 0, sizeof(T) * n);
+    std::memset(cd + i * n, 0, sizeof(double) * n);
   for (std::size_t r = 0; r < k; ++r) {
-    const T* arow = ad + r * m;
-    const T* brow = bd + r * n;
+    const double* arow = ad + r * m;
+    const double* brow = bd + r * n;
     for (std::size_t i = i0; i < i1; ++i) {
-      const T ari = arow[i];
-      if (ari == T(0)) continue;
-      T* crow = cd + i * n;
+      const double ari = arow[i];
+      // Exact sentinel: dropout writes literal zeros, nothing rounds to
+      // one. apds-lint: allow(float-equal)
+      if (ari == 0.0) continue;
+      double* crow = cd + i * n;
       for (std::size_t j = 0; j < n; ++j) crow[j] += ari * brow[j];
     }
   }
 }
 
-template <typename T>
-void gemm_tn_impl(const MatrixT<T>& a, const MatrixT<T>& b, MatrixT<T>& c) {
-  const std::size_t k = a.rows();
-  const std::size_t m = a.cols();
-  const std::size_t n = b.cols();
-  APDS_CHECK_MSG(b.rows() == k, "gemm_tn: inner dims");
-  APDS_CHECK_MSG(c.rows() == m && c.cols() == n, "gemm_tn: output shape");
-
-  const T* ad = a.data();
-  const T* bd = b.data();
-  T* cd = c.data();
-  [[maybe_unused]] const KernelOps* ops = nullptr;
-  if constexpr (std::is_same_v<T, float>) ops = &kernel_ops();
-  const std::size_t row_flops = 2 * k * n;
-  const std::size_t grain =
-      std::max<std::size_t>(1, kMinFlopsPerChunk / (row_flops + 1));
-  parallel_for(0, m, grain, [&](std::size_t i0, std::size_t i1) {
-    if constexpr (std::is_same_v<T, float>)
-      ops->gemm_tn_panel_f32(ad, bd, cd, k, m, n, i0, i1);
-    else
-      gemm_tn_panel(ad, bd, cd, k, m, n, i0, i1);
-  });
-}
-
 // C[i,j] = dot(A.row(i), B.row(j)): both operands row-contiguous.
-template <typename T>
-void gemm_nt_panel(const T* ad, const T* bd, T* cd, std::size_t k,
-                   std::size_t n, std::size_t i0, std::size_t i1) {
+void gemm_nt_panel(const double* ad, const double* bd, double* cd,
+                   std::size_t k, std::size_t n, std::size_t i0,
+                   std::size_t i1) {
   for (std::size_t i = i0; i < i1; ++i) {
-    const T* arow = ad + i * k;
-    T* crow = cd + i * n;
+    const double* arow = ad + i * k;
+    double* crow = cd + i * n;
     for (std::size_t j = 0; j < n; ++j) {
-      const T* brow = bd + j * k;
-      T acc = 0;
+      const double* brow = bd + j * k;
+      double acc = 0.0;
       for (std::size_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
       crow[j] = acc;
     }
   }
-}
-
-template <typename T>
-void gemm_nt_impl(const MatrixT<T>& a, const MatrixT<T>& b, MatrixT<T>& c) {
-  const std::size_t m = a.rows();
-  const std::size_t k = a.cols();
-  const std::size_t n = b.rows();
-  APDS_CHECK_MSG(b.cols() == k, "gemm_nt: inner dims");
-  APDS_CHECK_MSG(c.rows() == m && c.cols() == n, "gemm_nt: output shape");
-
-  const T* ad = a.data();
-  const T* bd = b.data();
-  T* cd = c.data();
-  [[maybe_unused]] const KernelOps* ops = nullptr;
-  if constexpr (std::is_same_v<T, float>) ops = &kernel_ops();
-  const std::size_t row_flops = 2 * k * n;
-  const std::size_t grain =
-      std::max<std::size_t>(1, kMinFlopsPerChunk / (row_flops + 1));
-  parallel_for(0, m, grain, [&](std::size_t i0, std::size_t i1) {
-    if constexpr (std::is_same_v<T, float>)
-      ops->gemm_nt_panel_f32(ad, bd, cd, k, n, i0, i1);
-    else
-      gemm_nt_panel(ad, bd, cd, k, n, i0, i1);
-  });
 }
 }  // namespace
 
@@ -199,34 +152,44 @@ void gemm_acc(const Matrix& a, const Matrix& b, Matrix& c) {
   gemm_impl(a, b, c, /*accumulate=*/true);
 }
 
-void gemm_acc(const MatrixF& a, const MatrixF& b, MatrixF& c) {
-  gemm_impl(a, b, c, /*accumulate=*/true);
-}
-
 void gemm_tn(const Matrix& a, const Matrix& b, Matrix& c) {
-  gemm_tn_impl(a, b, c);
-}
+  const std::size_t k = a.rows();
+  const std::size_t m = a.cols();
+  const std::size_t n = b.cols();
+  APDS_CHECK_MSG(b.rows() == k, "gemm_tn: inner dims");
+  APDS_CHECK_MSG(c.rows() == m && c.cols() == n, "gemm_tn: output shape");
 
-void gemm_tn(const MatrixF& a, const MatrixF& b, MatrixF& c) {
-  gemm_tn_impl(a, b, c);
+  const double* ad = a.data();
+  const double* bd = b.data();
+  double* cd = c.data();
+  const std::size_t row_flops = 2 * k * n;
+  const std::size_t grain =
+      std::max<std::size_t>(1, kMinFlopsPerChunk / (row_flops + 1));
+  parallel_for(0, m, grain, [&](std::size_t i0, std::size_t i1) {
+    gemm_tn_panel(ad, bd, cd, k, m, n, i0, i1);
+  });
 }
 
 void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c) {
-  gemm_nt_impl(a, b, c);
-}
+  const std::size_t m = a.rows();
+  const std::size_t k = a.cols();
+  const std::size_t n = b.rows();
+  APDS_CHECK_MSG(b.cols() == k, "gemm_nt: inner dims");
+  APDS_CHECK_MSG(c.rows() == m && c.cols() == n, "gemm_nt: output shape");
 
-void gemm_nt(const MatrixF& a, const MatrixF& b, MatrixF& c) {
-  gemm_nt_impl(a, b, c);
+  const double* ad = a.data();
+  const double* bd = b.data();
+  double* cd = c.data();
+  const std::size_t row_flops = 2 * k * n;
+  const std::size_t grain =
+      std::max<std::size_t>(1, kMinFlopsPerChunk / (row_flops + 1));
+  parallel_for(0, m, grain, [&](std::size_t i0, std::size_t i1) {
+    gemm_nt_panel(ad, bd, cd, k, n, i0, i1);
+  });
 }
 
 Matrix matmul(const Matrix& a, const Matrix& b) {
   Matrix c(a.rows(), b.cols());
-  gemm(a, b, c);
-  return c;
-}
-
-MatrixF matmul(const MatrixF& a, const MatrixF& b) {
-  MatrixF c(a.rows(), b.cols());
   gemm(a, b, c);
   return c;
 }

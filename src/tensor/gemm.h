@@ -4,12 +4,12 @@
 // axpy over the output row — this auto-vectorizes well and is the
 // performance backbone of both training and MCDrop inference.
 //
-// Every kernel exists at both scalar widths: the f64 overloads are the
-// reference/training path (bit-identical to previous releases), the
-// MatrixF overloads are the single-precision inference fast path (same
-// blocking and per-element accumulation order, twice the SIMD lanes and
-// half the memory traffic). Both are parallelized over the shared pool
-// with partition-independent results.
+// The f64 kernels are the reference/training path (bit-identical to
+// previous releases); backprop's gemm_tn/gemm_nt exist only at f64. The
+// plain product also has an f32 form for the single-precision inference
+// path (same blocking and per-element accumulation order, run by the
+// dispatched kernel tiers). All are parallelized over the shared pool with
+// partition-independent results.
 #pragma once
 
 #include "tensor/matrix.h"
@@ -31,18 +31,14 @@ void gemm(const MatrixF& a, const MatrixF& b, MatrixF& c);
 
 /// C += A * B (accumulating variant).
 void gemm_acc(const Matrix& a, const Matrix& b, Matrix& c);
-void gemm_acc(const MatrixF& a, const MatrixF& b, MatrixF& c);
 
 /// C = A^T * B. Shapes: [k,m] x [k,n] -> [m,n]. Used for weight gradients.
 void gemm_tn(const Matrix& a, const Matrix& b, Matrix& c);
-void gemm_tn(const MatrixF& a, const MatrixF& b, MatrixF& c);
 
 /// C = A * B^T. Shapes: [m,k] x [n,k] -> [m,n]. Used for input gradients.
 void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c);
-void gemm_nt(const MatrixF& a, const MatrixF& b, MatrixF& c);
 
 /// Convenience: returns A * B by value.
 Matrix matmul(const Matrix& a, const Matrix& b);
-MatrixF matmul(const MatrixF& a, const MatrixF& b);
 
 }  // namespace apds

@@ -124,12 +124,6 @@ class MatrixT {
     data_.resize(rows * cols);
   }
 
-  /// Release capacity beyond the current shape. resize() deliberately keeps
-  /// the high-water allocation for scratch reuse; after a transient large
-  /// batch, long-lived holders (sessions on eviction) call this so the peak
-  /// footprint is not pinned for their whole lifetime.
-  void trim() { data_.shrink_to_fit(); }
-
   /// Transposed copy.
   MatrixT transposed() const {
     MatrixT t(cols_, rows_);

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "platform/thread_pool.h"
-#include "tensor/kernels/kernel_dispatch.h"
 
 namespace apds {
 
@@ -97,21 +96,12 @@ void add_row_broadcast_buffers_impl(T* ad, std::size_t rows, std::size_t cols,
     }
   });
 }
-
-template <typename T>
-void add_row_broadcast_impl(MatrixT<T>& a, const MatrixT<T>& row) {
-  APDS_CHECK_MSG(row.rows() == 1 && row.cols() == a.cols(),
-                 "add_row_broadcast: row shape");
-  add_row_broadcast_buffers_impl(a.data(), a.rows(), a.cols(), row.data());
-}
 }  // namespace
 
 void add_row_broadcast(Matrix& a, const Matrix& row) {
-  add_row_broadcast_impl(a, row);
-}
-
-void add_row_broadcast(MatrixF& a, const MatrixF& row) {
-  add_row_broadcast_impl(a, row);
+  APDS_CHECK_MSG(row.rows() == 1 && row.cols() == a.cols(),
+                 "add_row_broadcast: row shape");
+  add_row_broadcast_buffers_impl(a.data(), a.rows(), a.cols(), row.data());
 }
 
 void add_row_broadcast_buffers(double* a, std::size_t rows, std::size_t cols,
@@ -195,12 +185,6 @@ double max_abs_diff(const Matrix& a, const Matrix& b) {
   for (std::size_t i = 0; i < a.size(); ++i)
     m = std::max(m, std::fabs(ad[i] - bd[i]));
   return m;
-}
-
-MatrixF square(const MatrixF& a) {
-  MatrixF out(a.rows(), a.cols());
-  kernel_ops().square_f32(a.data(), out.data(), a.size());
-  return out;
 }
 
 double max_abs_diff(const MatrixF& a, const MatrixF& b) {

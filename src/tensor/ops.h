@@ -79,11 +79,7 @@ double max_abs_diff(const Matrix& a, const Matrix& b);
 /// Index of the maximum element in row r.
 std::size_t argmax_row(const Matrix& a, std::size_t r);
 
-// Single-precision overloads of the ops the f32 inference fast path needs
-// (weight packing, bias broadcast, test diffing). The f64 overloads above
-// are the reference path and are unchanged.
-MatrixF square(const MatrixF& a);
-void add_row_broadcast(MatrixF& a, const MatrixF& row);
+/// Max absolute difference at single precision (f32 path diffing).
 double max_abs_diff(const MatrixF& a, const MatrixF& b);
 
 }  // namespace apds

@@ -77,6 +77,38 @@ TEST_F(CsvTest, NonFiniteCellRejectedWithLineAndColumn) {
   }
 }
 
+TEST_F(CsvTest, RaggedRowErrorNamesTheLine) {
+  std::ofstream os(path("ragged_at.csv"));
+  os << "a,b,c\n1,2,3\n\n4,5\n";  // the short row is physical line 4
+  os.close();
+  try {
+    read_csv(path("ragged_at.csv"), /*skip_header=*/true);
+    ADD_FAILURE() << "accepted a ragged row";
+  } catch (const IoError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("ragged row"), std::string::npos) << what;
+    EXPECT_NE(what.find(path("ragged_at.csv")), std::string::npos) << what;
+    EXPECT_NE(what.find("line 4"), std::string::npos) << what;
+  }
+}
+
+TEST_F(CsvTest, NonNumericCellErrorNamesLineAndColumn) {
+  std::ofstream os(path("text_at.csv"));
+  os << "1,2,3\n4,5,banana\n";
+  os.close();
+  try {
+    read_csv(path("text_at.csv"));
+    ADD_FAILURE() << "accepted a non-numeric cell";
+  } catch (const IoError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("non-numeric cell 'banana'"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find(path("text_at.csv")), std::string::npos) << what;
+    EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("column 3"), std::string::npos) << what;
+  }
+}
+
 TEST_F(CsvTest, FiniteUnderflowAccepted) {
   std::ofstream os(path("tiny.csv"));
   os << "1e-400,1\n";

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 #include <sstream>
 
+#include "core/arena.h"
+#include "obs/flight_recorder.h"
 #include "temp_dir.h"
 
 namespace apds {
@@ -98,6 +101,36 @@ TEST_F(ExperimentTest, HostMeasurementsPopulateWhenRequested) {
   opt.measure_host = true;
   const auto rows = run_system_perf(*zoo_, TaskId::kNyCommute, opt);
   for (const auto& r : rows) EXPECT_GT(r.host_ms, 0.0) << r.config;
+}
+
+TEST_F(ExperimentTest, HostServingRunsOnTheEstimatorSession) {
+  // The serving loop propagates through the ApdEstimator's own session, so
+  // each activation builds exactly one InferenceSession. Every session
+  // takes one owner id, so the ids consumed across the call count them.
+  ExperimentOptions opt = fast_options();
+  opt.mcdrop_ks = {3};
+  opt.measure_host = true;
+  (void)run_system_perf(*zoo_, TaskId::kNyCommute, opt);  // warm the zoo
+
+  obs::FlightRecorder& flight = obs::FlightRecorder::instance();
+  flight.clear();
+  const std::uint64_t first = new_arena_owner_id();
+  const auto rows = run_system_perf(*zoo_, TaskId::kNyCommute, opt);
+  const std::uint64_t last = new_arena_owner_id();
+  EXPECT_EQ(last - first - 1, 2u);  // one session per activation
+  EXPECT_EQ(rows.size(), 4u);  // 2 acts x (ApDeepSense + MCDrop-3)
+
+  // 20 served requests per activation, each attributed to one of the
+  // sessions built inside the call.
+  const std::vector<obs::RequestRecord> records = flight.snapshot();
+  EXPECT_EQ(records.size(), 40u);
+  std::set<std::uint64_t> sessions;
+  for (const obs::RequestRecord& r : records) {
+    EXPECT_GT(r.session, first);
+    EXPECT_LT(r.session, last);
+    sessions.insert(r.session);
+  }
+  EXPECT_EQ(sessions.size(), 2u);
 }
 
 TEST_F(ExperimentTest, TradeoffJoinsEnergyAndNll) {

@@ -64,6 +64,25 @@ TEST(TensorIo, TruncatedPayloadDoesNotAllocateClaimedShape) {
   EXPECT_LT(grown.bytes, 16ULL << 20);
 }
 
+TEST(TensorIo, LargeLoadAllocatesThePayloadOnce) {
+  // 512 x 512 doubles is 2 MiB, above the 1 MiB read chunk. A stream that
+  // reports its length gets its buffer sized once; growing chunk by chunk
+  // would request 1 MiB and then 2 MiB (1.5x the payload).
+  std::stringstream ss;
+  write_matrix(ss, Matrix(512, 512, 0.5));
+  const std::uint64_t payload = 512ULL * 512ULL * sizeof(double);
+  ASSERT_TRUE(obs::alloc_hooks_active());
+  const obs::AllocCounters before = obs::thread_alloc_counters();
+  const Matrix back = read_matrix(ss);
+  const obs::AllocCounters used = obs::thread_alloc_counters() - before;
+  EXPECT_EQ(back.rows(), 512u);
+  EXPECT_EQ(back(511, 511), 0.5);
+  EXPECT_LT(static_cast<double>(used.bytes),
+            1.25 * static_cast<double>(payload))
+      << used.bytes << " bytes requested for a " << payload
+      << "-byte payload";
+}
+
 TEST(TensorIo, ImplausibleShapeRejected) {
   std::stringstream ss;
   const std::uint64_t rows = 1ULL << 40;

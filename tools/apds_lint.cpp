@@ -1275,7 +1275,7 @@ void collect_alloc_sites(const std::string& code, std::size_t begin,
   // (`MeanVar out;`) is free — default construction allocates nothing —
   // but construction with arguments or assignment does.
   static const std::regex container_re(
-      R"(\b(std\s*::\s*(?:vector|deque|list|map|multimap|set|multiset|unordered_map|unordered_set|string|wstring|basic_string)|Matrix[FT]?|MeanVar[FT]?|GaussianVec|PwlPack)\b)");
+      R"(\b(std\s*::\s*(?:vector|deque|list|map|multimap|set|multiset|unordered_map|unordered_set|string|wstring|basic_string)|Matrix[FT]?|MeanVar[FT]?|GaussianVec|PwlPack|PackedDenseLayer)\b)");
   for (auto it = std::regex_iterator(first, last, container_re);
        it != std::regex_iterator<std::string::const_iterator>(); ++it) {
     const std::size_t at = begin + static_cast<std::size_t>(it->position());
